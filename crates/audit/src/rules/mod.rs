@@ -144,7 +144,7 @@ impl Config {
             ]),
             panic_entries: s(&[
                 "Market::quote*",
-                "DurableMarket::quote*",
+                "Market::purchase*",
                 "Server::run",
                 "Wal::append",
             ]),

@@ -5,11 +5,11 @@
 //! `allow(R2: …)` escape is a *claim* — "this invariant holds, the
 //! panic cannot fire". R9 checks the part of that claim the file cannot
 //! see: whether the site is reachable from a serving entry point
-//! (`Market::quote*`, `Server::run`, `Wal::append`, configured as
-//! qualified names with `*` prefix wildcards) without passing a panic
-//! containment frontier. A buyer-triggered panic beyond a frontier
-//! tears down the serving thread; inside one it becomes a degraded
-//! quote — the difference is the whole availability story.
+//! (`Market::quote*`, `Market::purchase*`, `Server::run`, `Wal::append`,
+//! configured as qualified names with `*` prefix wildcards) without
+//! passing a panic containment frontier. A buyer-triggered panic beyond
+//! a frontier tears down the serving thread; inside one it becomes a
+//! degraded quote — the difference is the whole availability story.
 //!
 //! Panic sites are `unwrap`/`expect` calls and the `panic!` /
 //! `unreachable!` / `todo!` / `unimplemented!` macros. `assert!` and

@@ -146,7 +146,13 @@ fn bench_durability_tax(c: &mut Criterion) {
         let dir = temp_dir(name);
         let dm = DurableMarket::create(&dir, &qdp, fsync).unwrap();
         group.bench_function(name, |b| {
-            b.iter(|| dm.purchase_str(black_box(buy)).unwrap().quote.price)
+            b.iter(|| {
+                dm.market()
+                    .purchase_str(black_box(buy))
+                    .unwrap()
+                    .quote
+                    .price
+            })
         });
         drop(dm);
         std::fs::remove_dir_all(&dir).ok();

@@ -117,7 +117,7 @@ fn purchase_rates(qdp: &str) -> (f64, f64, f64) {
     std::fs::remove_dir_all(&real_dir).ok();
     let dm = DurableMarket::create(&real_dir, qdp, FsyncPolicy::Always).expect("durable market");
     let real = rate(PURCHASES, || {
-        black_box(dm.purchase_str(&next()).expect("purchase"));
+        black_box(dm.market().purchase_str(&next()).expect("purchase"));
     });
     drop(dm);
     std::fs::remove_dir_all(&real_dir).ok();
@@ -133,7 +133,7 @@ fn purchase_rates(qdp: &str) -> (f64, f64, f64) {
     )
     .expect("durable market");
     let faulted = rate(PURCHASES, || {
-        black_box(dm.purchase_str(&next()).expect("purchase"));
+        black_box(dm.market().purchase_str(&next()).expect("purchase"));
     });
     drop(dm);
     std::fs::remove_dir_all(&fault_dir).ok();

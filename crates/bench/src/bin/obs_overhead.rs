@@ -79,10 +79,12 @@ fn chain_market() -> Market {
 /// Quote `BATCH` times with `telemetry`, a revision before every quote
 /// so none is a cache hit. Appends per-quote latencies (µs) to `out`.
 fn run_batch(market: &Market, telemetry: bool, revision_at: &mut u64, out: &mut Vec<f64>) {
-    market.set_policy(MarketPolicy {
-        telemetry,
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            telemetry,
+            ..MarketPolicy::default()
+        })
+        .expect("policy");
     let query = "Q(x, y) :- R(x), S(x, y), T(y)";
     for _ in 0..BATCH {
         let v = *revision_at % N as u64;
@@ -130,7 +132,7 @@ fn main() {
         run_batch(&market, false, &mut revision_at, &mut off);
         run_batch(&market, true, &mut revision_at, &mut on);
     }
-    market.set_policy(MarketPolicy::default());
+    market.set_policy(MarketPolicy::default()).expect("policy");
     let off_median_us = median(&mut off);
     let on_median_us = median(&mut on);
     let on_tax = ((on_median_us - off_median_us) / off_median_us).max(0.0);

@@ -244,11 +244,12 @@ fn main() {
     // ---- phases 1+2: throughput + latency under one server run -------
     let dm = DurableMarket::open_or_create(&dir, Some(&seed_qdp), FsyncPolicy::EveryN(8))
         .expect("durable market opens");
-    dm.set_policy(MarketPolicy {
-        telemetry: true,
-        ..dm.market().policy()
-    })
-    .expect("policy applies");
+    dm.market()
+        .set_policy(MarketPolicy {
+            telemetry: true,
+            ..dm.market().policy()
+        })
+        .expect("policy applies");
     // Warm the quote cache: the measured region is the serving path.
     for q in &pool {
         dm.market().quote_str(q).expect("warmup quote");

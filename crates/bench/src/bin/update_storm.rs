@@ -95,10 +95,12 @@ fn scenarios() -> Vec<Scenario> {
 /// returning per-quote latencies in microseconds, sorted.
 fn run_mix(scenario: &Scenario, quotes_per_revision: usize, incremental: bool) -> Vec<f64> {
     let market = chain_market();
-    market.set_policy(MarketPolicy {
-        incremental,
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            incremental,
+            ..MarketPolicy::default()
+        })
+        .expect("policy");
     // Warm both engines up: fill plan/quote caches once so the measured
     // region compares steady states, not first-touch derivation.
     for q in &scenario.queries {

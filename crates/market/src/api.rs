@@ -1,17 +1,14 @@
-//! [`MarketOps`]: one mutation-polymorphic surface over [`Market`] and
-//! [`DurableMarket`].
+//! [`MarketOps`]: one surface over [`Market`] and [`DurableMarket`].
 //!
-//! Hosts (the CLI, tests, embedders) are generic over `M: MarketOps` and
-//! serve either flavor through the same code path. Reads always come
-//! from the in-memory market ([`MarketOps::base`]) — quoting, explains,
-//! catalog introspection, and `.qdp` serialization are identical whether
-//! or not a log sits underneath. Mutations go through the trait so the
-//! durable implementation can write ahead; the in-memory implementation
-//! just forwards.
+//! Hosts (the CLI, the server, tests, embedders) take `&dyn MarketOps`
+//! or are generic over `M: MarketOps` and serve either flavor through
+//! the same code path. Every call lands on the one [`Market`] returned
+//! by [`MarketOps::base`]: it journals its own mutations, so the
+//! durable flavor needs no overrides beyond [`MarketOps::durable`].
 
-use crate::durable::{DurableMarket, MarketHealth};
+use crate::durable::DurableMarket;
 use crate::error::MarketError;
-use crate::market::{Market, MarketPolicy, Purchase};
+use crate::market::{Market, MarketHealth, MarketPolicy, Purchase};
 use qbdp_catalog::Tuple;
 use qbdp_core::Price;
 
@@ -25,39 +22,41 @@ use qbdp_core::Price;
 /// market is shared with the event-loop thread (and load harnesses)
 /// by reference.
 pub trait MarketOps: Sync {
-    /// The in-memory market answering all read-side calls.
+    /// The market answering every call.
     fn base(&self) -> &Market;
 
-    /// Seller-side tuple insertion (§2.7); durable when the
-    /// implementation is. Returns the number of tuples actually added.
-    fn insert(&self, relation: &str, tuples: Vec<Tuple>) -> Result<usize, MarketError>;
+    /// Seller-side tuple insertion (§2.7). Returns the number of tuples
+    /// actually added.
+    fn insert(&self, relation: &str, tuples: Vec<Tuple>) -> Result<usize, MarketError> {
+        self.base().insert(relation, tuples)
+    }
 
     /// Seller-side price revision (`R.X=a` selector syntax).
-    fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError>;
+    fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
+        self.base().set_price(view, price)
+    }
 
     /// Purchase a query given in datalog syntax.
-    fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError>;
+    fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
+        self.base().purchase_str(query)
+    }
 
-    /// Replace the governance policy. Fallible because the durable
-    /// implementation logs the change before applying it.
-    fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError>;
+    /// Replace the governance policy.
+    fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
+        self.base().set_policy(policy)
+    }
 
     /// The durable wrapper, when this market has one — for operations
-    /// that only make sense with a log (compaction, forced sync).
+    /// that only make sense with a directory (compaction, forced sync).
     fn durable(&self) -> Option<&DurableMarket> {
         None
     }
 
-    /// Serving health: an in-memory market is always [`Healthy`]
-    /// (mutations cannot fail for durability reasons); the durable
-    /// implementation reports [`ReadOnly`] once its log stops
-    /// acknowledging writes. Servers probe this for `/health` instead
-    /// of downcasting through [`MarketOps::durable`].
-    ///
-    /// [`Healthy`]: MarketHealth::Healthy
-    /// [`ReadOnly`]: MarketHealth::ReadOnly
+    /// Serving health: [`MarketHealth::ReadOnly`] once the market's log
+    /// stops acknowledging writes (never, in memory). Servers probe this
+    /// for `/health`.
     fn health(&self) -> MarketHealth {
-        MarketHealth::Healthy
+        self.base().health()
     }
 
     /// A Prometheus-text snapshot of the process-wide telemetry registry
@@ -73,23 +72,6 @@ impl MarketOps for Market {
     fn base(&self) -> &Market {
         self
     }
-
-    fn insert(&self, relation: &str, tuples: Vec<Tuple>) -> Result<usize, MarketError> {
-        Market::insert(self, relation, tuples)
-    }
-
-    fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
-        Market::set_price(self, view, price)
-    }
-
-    fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
-        Market::purchase_str(self, query)
-    }
-
-    fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
-        Market::set_policy(self, policy);
-        Ok(())
-    }
 }
 
 impl MarketOps for DurableMarket {
@@ -97,28 +79,8 @@ impl MarketOps for DurableMarket {
         self.market()
     }
 
-    fn insert(&self, relation: &str, tuples: Vec<Tuple>) -> Result<usize, MarketError> {
-        DurableMarket::insert(self, relation, tuples)
-    }
-
-    fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
-        DurableMarket::set_price(self, view, price)
-    }
-
-    fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
-        DurableMarket::purchase_str(self, query)
-    }
-
-    fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
-        DurableMarket::set_policy(self, policy)
-    }
-
     fn durable(&self) -> Option<&DurableMarket> {
         Some(self)
-    }
-
-    fn health(&self) -> MarketHealth {
-        DurableMarket::health(self)
     }
 }
 

@@ -45,9 +45,9 @@
 //! memory stays bounded by the live entries.
 //!
 //! A separate **generation** counter is bumped once per mutation and
-//! exposed as [`ShardedQuoteCache::epoch`]: the durable market's
-//! purchase path revalidates quotes against it ("did *anything* change
-//! between pricing and logging?"), and recovery rewinds it to 0.
+//! exposed as [`ShardedQuoteCache::epoch`]: the market's purchase path
+//! revalidates quotes against it ("did *anything* change between
+//! pricing and logging?"), and recovery rewinds it to 0.
 //!
 //! # Shard count
 //!
@@ -82,7 +82,7 @@ struct Entry {
 /// text to stamp-tagged quotes, validated against per-column epochs.
 /// See the module docs for the protocol.
 pub(crate) struct ShardedQuoteCache {
-    /// Bumped once per mutation; the durable revalidation token.
+    /// Bumped once per mutation; the purchase revalidation token.
     generation: AtomicU64,
     /// One epoch per catalog column, fixed at construction (the schema
     /// never changes after a market opens).
@@ -122,7 +122,7 @@ impl ShardedQuoteCache {
     }
 
     /// The mutation generation. Bumped once per data/price update; the
-    /// durable purchase path uses it to detect *any* intervening change.
+    /// purchase path uses it to detect *any* intervening change.
     pub(crate) fn epoch(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
     }

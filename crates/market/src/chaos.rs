@@ -29,10 +29,10 @@
 //! than panicking, so a single schedule reports *all* the damage and
 //! the harness stays usable from the CLI.
 
-use crate::durable::{DurableMarket, MarketHealth};
+use crate::durable::DurableMarket;
 use crate::error::MarketError;
 use crate::ledger::Ledger;
-use crate::market::Market;
+use crate::market::{Market, MarketHealth};
 use qbdp_catalog::{Tuple, Value};
 use qbdp_core::Price;
 use qbdp_store::vfs::SplitMix64;
@@ -425,7 +425,7 @@ fn clone_state(m: &Market) -> Result<Market, MarketError> {
     let ledger = Ledger::from_snapshot_text(&m.with_ledger(Ledger::to_snapshot_text))
         .map_err(|e| MarketError::Internal(format!("ledger clone: {e}")))?;
     clone.restore_ledger(ledger);
-    clone.set_policy(m.policy());
+    clone.apply_policy(m.policy());
     Ok(clone)
 }
 
@@ -464,14 +464,15 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
         jitter_seed: cfg.seed,
     };
     let dm = DurableMarket::create_with(Arc::new(fs.clone()), dir, qdp, cfg.fsync, retry)?;
-    let shape = Shape::parse(&dm.market().to_qdp())?;
+    let market = dm.market();
+    let shape = Shape::parse(&market.to_qdp())?;
     let mut rng = SplitMix64::new(cfg.seed);
     fs.set_plan(FaultPlan {
         script: Vec::new(),
         seeded: cfg.fault.seeded(rng.next_u64()),
     });
 
-    let mut acked_fp = fingerprint(dm.market());
+    let mut acked_fp = fingerprint(market);
     // The at-most-one event whose durability a poisoning fsync left
     // uncertain: the state the market would hold had it survived.
     let mut pending_fp: Option<Fingerprint> = None;
@@ -486,8 +487,8 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
             continue;
         };
         if let Op::Quote { query } = &op {
-            let degraded = matches!(dm.health(), MarketHealth::ReadOnly { .. });
-            match dm.quote_str(query) {
+            let degraded = matches!(market.health(), MarketHealth::ReadOnly { .. });
+            match market.quote_str(query) {
                 Ok(quote) => {
                     if quote.lower_bound > quote.price {
                         report.violations.push(format!(
@@ -524,17 +525,17 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
             continue;
         }
         let result: Result<(), MarketError> = match &op {
-            Op::Insert { relation, values } => dm
+            Op::Insert { relation, values } => market
                 .insert(relation, [Tuple::new(values.clone())])
                 .map(|_| ()),
-            Op::SetPrice { view, cents } => dm.set_price(view, Price::cents(*cents)),
-            Op::Purchase { query } => dm.purchase_str(query).map(|_| ()),
+            Op::SetPrice { view, cents } => market.set_price(view, Price::cents(*cents)),
+            Op::Purchase { query } => market.purchase_str(query).map(|_| ()),
             Op::Quote { .. } => Ok(()),
         };
         match result {
             Ok(()) => {
                 report.acked += 1;
-                acked_fp = fingerprint(dm.market());
+                acked_fp = fingerprint(market);
                 pending_fp = None;
             }
             Err(MarketError::Store(e)) => {
@@ -542,17 +543,17 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
                 if matches!(e, StoreError::Poisoned { .. }) {
                     // The append may or may not have reached the
                     // platter; compute the state it would produce.
-                    let clone = clone_state(dm.market())?;
+                    let clone = clone_state(market)?;
                     apply_to_clone(&clone, &op);
                     pending_fp = Some(fingerprint(&clone));
                 }
-                if matches!(dm.health(), MarketHealth::ReadOnly { .. }) && frozen.is_none() {
-                    frozen = Some(clone_state(dm.market())?);
+                if matches!(market.health(), MarketHealth::ReadOnly { .. }) && frozen.is_none() {
+                    frozen = Some(clone_state(market)?);
                 }
             }
             Err(MarketError::Degraded(_)) => {
                 report.degraded_ops += 1;
-                if !matches!(dm.health(), MarketHealth::ReadOnly { .. }) {
+                if !matches!(market.health(), MarketHealth::ReadOnly { .. }) {
                     report
                         .violations
                         .push("Degraded error from a healthy market".to_string());
@@ -606,10 +607,11 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
     }
 
     // Invariant 3: clean recovery — healthy, serving, and writable.
-    if recovered.health() != MarketHealth::Healthy {
-        report
-            .violations
-            .push(format!("recovered unhealthy: {:?}", recovered.health()));
+    if recovered.market().health() != MarketHealth::Healthy {
+        report.violations.push(format!(
+            "recovered unhealthy: {:?}",
+            recovered.market().health()
+        ));
     }
     if let Some((rel, attrs)) = shape.relations.first() {
         let values: Option<Vec<Value>> = attrs
@@ -622,7 +624,7 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
             })
             .collect();
         if let Some(values) = values {
-            if let Err(e) = recovered.insert(rel, [Tuple::new(values)]) {
+            if let Err(e) = recovered.market().insert(rel, [Tuple::new(values)]) {
                 report
                     .violations
                     .push(format!("recovered market refuses mutations: {e}"));
@@ -630,7 +632,7 @@ pub fn run_schedule(qdp: &str, dir: &Path, cfg: &ChaosConfig) -> Result<ChaosRep
         }
     }
     if let Some(query) = gen_query(&shape, &mut rng) {
-        match recovered.quote_str(&query) {
+        match recovered.market().quote_str(&query) {
             Ok(quote) => {
                 if quote.lower_bound > quote.price {
                     report

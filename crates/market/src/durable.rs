@@ -1,7 +1,12 @@
-//! [`DurableMarket`]: a [`Market`] whose every mutation is written to a
-//! `qbdp-store` write-ahead log before it is applied, so the market can
-//! be reopened — or recovered after a crash — byte-exactly from a
-//! directory.
+//! [`DurableMarket`]: a [`Market`] whose journal is a `qbdp-store`
+//! write-ahead log under a directory, so the market can be reopened —
+//! or recovered after a crash — byte-exactly.
+//!
+//! The write protocol itself lives in [`Market`] (see [`crate::market`]):
+//! every mutation is appended to the journal before it is applied, and
+//! a `DurableMarket` is just the market whose journal holds a [`Wal`].
+//! This module owns what only a directory has: its layout, creation,
+//! recovery, compaction, and scrubbing.
 //!
 //! # Layout
 //!
@@ -12,24 +17,8 @@
 //!
 //! The snapshot's `market` section is the existing [`Market::to_qdp`]
 //! text; `ledger` and `policy` sections carry what `.qdp` does not.
-//! Recovery is snapshot-load + suffix-replay.
-//!
-//! # Write protocol
-//!
-//! Every mutating call takes the WAL mutex, appends the event, and only
-//! then applies it to the in-memory market (which takes the state write
-//! lock internally, preserving the epoch/cache invalidation protocol —
-//! the cache epoch is still bumped under the state write lock by the
-//! apply itself). Holding the WAL mutex across append + apply makes log
-//! order equal apply order, so replay reproduces the live sequence.
-//!
-//! A mutation that fails *validation* during apply (unknown relation,
-//! value outside its column, an arbitrage-inducing price revision) has
-//! already been logged; that is harmless, because validation is a pure
-//! function of market state and replay — seeing the identical state —
-//! skips it with the identical verdict. What can never happen is the
-//! converse: an applied-but-unlogged mutation, the one that would make
-//! recovery forget acknowledged state.
+//! Recovery is snapshot-load + suffix-replay into a journal-less market,
+//! which then gets the log attached.
 //!
 //! # Recovery invariants
 //!
@@ -46,15 +35,13 @@
 
 use crate::error::MarketError;
 use crate::ledger::Ledger;
-use crate::market::{Market, MarketPolicy, MarketQuote, Purchase};
-use parking_lot::{Mutex, RwLock};
+use crate::market::{Market, MarketPolicy};
 use qbdp_catalog::{Tuple, Value};
 use qbdp_core::Price;
 use qbdp_store::scrub::ScrubReport;
 use qbdp_store::{FsyncPolicy, MarketEvent, RealFs, RetryPolicy, Snapshot, StoreError, Vfs, Wal};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Snapshot filename inside a durable market directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.qdps";
@@ -70,39 +57,21 @@ pub enum ReplayStep<'a> {
     Applied(&'a MarketEvent),
 }
 
-/// Whether the durable market is accepting mutations. See
-/// [`DurableMarket::health`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MarketHealth {
-    /// Mutations and reads both served.
-    Healthy,
-    /// The durability layer can no longer acknowledge writes (disk
-    /// full, or an fsync failure poisoned the log). Quotes keep serving
-    /// from the last consistent state; mutations return
-    /// [`MarketError::Degraded`]. Reopening the market after the fault
-    /// clears recovers cleanly.
-    ReadOnly {
-        /// The store-layer diagnosis that triggered the degradation.
-        reason: String,
-    },
-}
-
 /// A market with a write-ahead log and snapshots under a directory.
+/// Quotes and mutations go through [`DurableMarket::market`] (or the
+/// [`crate::MarketOps`] trait); every mutation is logged there.
 pub struct DurableMarket {
     market: Market,
-    wal: Mutex<Wal>,
     vfs: Arc<dyn Vfs>,
     retry: RetryPolicy,
-    health: RwLock<MarketHealth>,
     dir: PathBuf,
 }
 
 impl std::fmt::Debug for DurableMarket {
-    // audit: holds-lock(wal)
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableMarket")
             .field("dir", &self.dir)
-            .field("wal_position", &self.wal.lock().position())
+            .field("wal_position", &self.wal_position())
             .finish_non_exhaustive()
     }
 }
@@ -114,18 +83,31 @@ fn corrupt(offset: u64, reason: impl Into<String>) -> MarketError {
     })
 }
 
+/// The snapshot's `policy` section: the fields of the policy's
+/// [`MarketEvent::PolicyChange`], one `key value` line each.
 fn policy_text(p: &MarketPolicy) -> String {
+    let MarketEvent::PolicyChange {
+        deadline_ms,
+        fuel,
+        sell_degraded,
+        max_in_flight,
+        batch_workers,
+    } = MarketEvent::from(*p)
+    else {
+        return String::new();
+    };
     let opt = |v: Option<u64>| v.map_or("-".to_string(), |v| v.to_string());
     format!(
         "deadline_ms {}\nfuel {}\nsell_degraded {}\nmax_in_flight {}\nbatch_workers {}\n",
-        opt(p.deadline.map(|d| d.as_millis() as u64)),
-        opt(p.fuel),
-        u8::from(p.sell_degraded),
-        p.max_in_flight,
-        p.batch_workers,
+        opt(deadline_ms),
+        opt(fuel),
+        u8::from(sell_degraded),
+        max_in_flight,
+        batch_workers,
     )
 }
 
+/// Parse [`policy_text`] output.
 fn parse_policy(text: &str) -> Result<MarketPolicy, StoreError> {
     let bad = |m: &str| StoreError::CorruptSnapshot(format!("policy section: {m}"));
     let mut lines = text.lines();
@@ -143,40 +125,27 @@ fn parse_policy(text: &str) -> Result<MarketPolicy, StoreError> {
             v.parse().map(Some).map_err(|_| bad("bad number"))
         }
     };
-    let deadline = opt(&field("deadline_ms ")?)?.map(Duration::from_millis);
-    let fuel = opt(&field("fuel ")?)?;
-    let sell_degraded = field("sell_degraded ")? == "1";
-    let max_in_flight = field("max_in_flight ")?
-        .parse::<u64>()
-        .map_err(|_| bad("bad max_in_flight"))? as usize;
-    let batch_workers = field("batch_workers ")?
-        .parse::<u64>()
-        .map_err(|_| bad("bad batch_workers"))? as usize;
-    Ok(MarketPolicy {
-        deadline,
-        fuel,
-        sell_degraded,
-        max_in_flight,
-        batch_workers,
-        // In-process serving knobs, deliberately not persisted: a
-        // recovered market prices cold until the operator re-enables
-        // the incremental engine (its plan cache died with the process
-        // anyway, so there is nothing warm to preserve), and telemetry
-        // is an operator decision about *this* process, not market
-        // state.
-        incremental: false,
-        telemetry: false,
-    })
+    let event = MarketEvent::PolicyChange {
+        deadline_ms: opt(&field("deadline_ms ")?)?,
+        fuel: opt(&field("fuel ")?)?,
+        sell_degraded: field("sell_degraded ")? == "1",
+        max_in_flight: field("max_in_flight ")?
+            .parse()
+            .map_err(|_| bad("bad max_in_flight"))?,
+        batch_workers: field("batch_workers ")?
+            .parse()
+            .map_err(|_| bad("bad batch_workers"))?,
+    };
+    MarketPolicy::from_event(&event).ok_or_else(|| bad("not a policy"))
 }
 
-fn policy_event(p: &MarketPolicy) -> MarketEvent {
-    MarketEvent::PolicyChange {
-        deadline_ms: p.deadline.map(|d| d.as_millis() as u64),
-        fuel: p.fuel,
-        sell_degraded: p.sell_degraded,
-        max_in_flight: p.max_in_flight as u64,
-        batch_workers: p.batch_workers as u64,
-    }
+/// A snapshot of `market` covering log position `wal_pos`.
+fn snapshot_of(market: &Market, wal_pos: u64) -> Snapshot {
+    let mut snapshot = Snapshot::new(wal_pos);
+    snapshot.push_section("market", market.to_qdp());
+    snapshot.push_section("ledger", market.with_ledger(Ledger::to_snapshot_text));
+    snapshot.push_section("policy", policy_text(&market.policy()));
+    snapshot
 }
 
 impl DurableMarket {
@@ -226,17 +195,12 @@ impl DurableMarket {
             Err(e) => return Err(MarketError::Store(e.into())),
         }
         let wal = Wal::open_with(Arc::clone(&vfs), &wal_path, fsync, retry)?;
-        let mut snapshot = Snapshot::new(0);
-        snapshot.push_section("market", market.to_qdp());
-        snapshot.push_section("ledger", Ledger::new().to_snapshot_text());
-        snapshot.push_section("policy", policy_text(&market.policy()));
-        snapshot.write_with(vfs.as_ref(), &snapshot_path, &retry)?;
+        snapshot_of(&market, 0).write_with(vfs.as_ref(), &snapshot_path, &retry)?;
+        market.attach_journal(wal);
         Ok(DurableMarket {
             market,
-            wal: Mutex::new(wal),
             vfs,
             retry,
-            health: RwLock::new(MarketHealth::Healthy),
             dir,
         })
     }
@@ -299,7 +263,7 @@ impl DurableMarket {
             .map_err(|m| StoreError::CorruptSnapshot(format!("ledger section: {m}")))?;
         market.restore_ledger(ledger);
         if let Some(text) = snapshot.section("policy") {
-            market.set_policy(parse_policy(text)?);
+            market.apply_policy(parse_policy(text)?);
         }
         let wal = Wal::open_with(Arc::clone(&vfs), dir.join(WAL_FILE), fsync, retry)?;
         // Compaction crash window: a crash between `wal.reset()` and the
@@ -324,12 +288,11 @@ impl DurableMarket {
             observer(ReplayStep::Applied(&record.event), &market);
         }
         market.reset_cache();
+        market.attach_journal(wal);
         Ok(DurableMarket {
             market,
-            wal: Mutex::new(wal),
             vfs,
             retry,
-            health: RwLock::new(MarketHealth::Healthy),
             dir,
         })
     }
@@ -368,44 +331,6 @@ impl DurableMarket {
         }
     }
 
-    /// Whether the market is accepting mutations or has degraded to
-    /// read-only serving. Degradation is one-way for a given handle —
-    /// recovery (reopening the directory) is the repair path.
-    // audit: holds-lock(health)
-    pub fn health(&self) -> MarketHealth {
-        self.health.read().clone()
-    }
-
-    /// Refuse mutations once degraded. Checked *before* the WAL mutex
-    /// is taken so a degraded market never queues writers behind it.
-    // audit: holds-lock(health)
-    fn ensure_writable(&self) -> Result<(), MarketError> {
-        match &*self.health.read() {
-            MarketHealth::Healthy => Ok(()),
-            MarketHealth::ReadOnly { reason } => Err(MarketError::Degraded(reason.clone())),
-        }
-    }
-
-    /// Classify a store failure: faults that void the durability
-    /// contract ([`StoreError::degrades_to_read_only`]) flip the market
-    /// to read-only serving; everything else (transient exhaustion,
-    /// validation-adjacent corruption) passes through typed, leaving
-    /// the market healthy.
-    // audit: holds-lock(health)
-    fn degrade_on(&self, e: StoreError) -> MarketError {
-        if e.degrades_to_read_only() {
-            let mut health = self.health.write();
-            if *health == MarketHealth::Healthy {
-                *health = MarketHealth::ReadOnly {
-                    reason: e.to_string(),
-                };
-                qbdp_obs::record(qbdp_obs::Ctr::MarketHealthFlips, 1);
-                qbdp_obs::record_gauge(qbdp_obs::Gauge::HealthReadOnly, 1);
-            }
-        }
-        MarketError::Store(e)
-    }
-
     /// Walk the snapshot and WAL verifying every checksum, reporting
     /// damage before it is load-bearing. Read-only and background-free:
     /// safe against a live market between syncs.
@@ -417,9 +342,9 @@ impl DurableMarket {
         )
     }
 
-    /// The wrapped in-memory market, for read-side access (quotes,
-    /// explains, introspection). Mutations **must** go through the
-    /// durable methods or they will not survive a restart.
+    /// The market, journaled to this directory: quotes, explains,
+    /// introspection, and every mutation (each one logged before it is
+    /// applied).
     pub fn market(&self) -> &Market {
         &self.market
     }
@@ -430,139 +355,15 @@ impl DurableMarket {
     }
 
     /// Current end-of-log position (bytes).
-    // audit: holds-lock(wal)
     pub fn wal_position(&self) -> u64 {
-        self.wal.lock().position()
-    }
-
-    /// Durable seller-side tuple insertion (§2.7). Logged and applied
-    /// one tuple at a time so replay reproduces the exact ledger
-    /// sequence; returns the number of tuples actually added (duplicates
-    /// are logged but add 0, same as the in-memory market).
-    // audit: holds-lock(wal)
-    pub fn insert(
-        &self,
-        relation: &str,
-        tuples: impl IntoIterator<Item = Tuple>,
-    ) -> Result<usize, MarketError> {
-        self.ensure_writable()?;
-        let mut wal = self.wal.lock();
-        let mut added = 0usize;
-        for tuple in tuples {
-            let event = MarketEvent::InsertTuple {
-                relation: relation.to_string(),
-                values: tuple.iter().map(Value::render_literal).collect(),
-            };
-            wal.append(&event).map_err(|e| self.degrade_on(e))?;
-            added += self.market.insert(relation, [tuple])?;
-        }
-        Ok(added)
-    }
-
-    /// Durable seller-side price revision (`R.X=a` selector syntax).
-    // audit: holds-lock(wal)
-    pub fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
-        self.ensure_writable()?;
-        let mut wal = self.wal.lock();
-        wal.append(&MarketEvent::SetPrice {
-            view: view.to_string(),
-            cents: price.as_cents(),
-        })
-        .map_err(|e| self.degrade_on(e))?;
-        self.market.set_price(view, price)
-    }
-
-    /// Durable purchase: price and evaluate *outside* the WAL mutex (the
-    /// pricing engine must never run under it — qbdp-audit rule R3),
-    /// then take the lock and revalidate before logging. The cache epoch
-    /// names the data/price snapshot the quote was derived from: every
-    /// mutation bumps it, and durable mutations serialize on the WAL
-    /// mutex, so an unchanged epoch observed *under* the lock proves the
-    /// quoted terms still hold when the event is appended. An epoch that
-    /// moved means an update landed mid-purchase; the stale quote is
-    /// discarded and the purchase re-priced (bounded retries, then
-    /// [`MarketError::Contended`]). Overflowing revenue is refused
-    /// *before* the event is logged, so the log never contains an
-    /// unreplayable purchase.
-    // audit: holds-lock(wal)
-    pub fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
-        const RETRIES: usize = 8;
-        let sw = qbdp_obs::Stopwatch::start();
-        self.ensure_writable()?;
-        // audit: bounded(fixed retry cap; each round does one pricing call)
-        for _ in 0..RETRIES {
-            let epoch = self.market.cache_epoch();
-            let (quote, answer) = self.market.evaluate_purchase(query)?;
-            self.ensure_writable()?;
-            let mut wal = self.wal.lock();
-            if self.market.cache_epoch() != epoch {
-                // A mutation slipped in between pricing and the append;
-                // the quote may no longer match the market. Drop the
-                // lock and re-price against the new state.
-                drop(wal);
-                qbdp_obs::record(qbdp_obs::Ctr::MarketPurchaseRetries, 1);
-                continue;
-            }
-            if self.market.revenue().checked_add(quote.price).is_none() {
-                return Err(MarketError::RevenueOverflow);
-            }
-            wal.append(&MarketEvent::Purchase {
-                query: quote.query.clone(),
-                price_cents: quote.price.as_cents(),
-                answer_tuples: answer.len() as u64,
-                views: quote.views.len() as u64,
-            })
-            .map_err(|e| self.degrade_on(e))?;
-            let transaction_id = self.market.apply_recorded_sale(
-                quote.query.clone(),
-                quote.price,
-                answer.len(),
-                quote.views.len(),
-            )?;
-            qbdp_obs::record(qbdp_obs::Ctr::MarketPurchases, 1);
-            sw.stop(qbdp_obs::Hst::PurchaseLatencyUs);
-            return Ok(Purchase {
-                transaction_id,
-                quote,
-                answer,
-            });
-        }
-        qbdp_obs::record(qbdp_obs::Ctr::MarketPurchaseContended, 1);
-        qbdp_obs::flight::capture(
-            qbdp_obs::flight::Why::Contended,
-            query,
-            sw.elapsed_us().unwrap_or(0),
-            format!("{RETRIES} revalidation retries exhausted"),
-            Vec::new(),
-        );
-        Err(MarketError::Contended)
-    }
-
-    /// Durable policy change.
-    // audit: holds-lock(wal)
-    pub fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
-        self.ensure_writable()?;
-        let mut wal = self.wal.lock();
-        wal.append(&policy_event(&policy))
-            .map_err(|e| self.degrade_on(e))?;
-        self.market.set_policy(policy);
-        Ok(())
-    }
-
-    /// Quote (read-only; served from the in-memory market and its cache).
-    pub fn quote_str(&self, query: &str) -> Result<MarketQuote, MarketError> {
-        self.market.quote_str(query)
-    }
-
-    /// Batch quote (read-only).
-    pub fn quote_batch(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
-        self.market.quote_batch(queries)
+        self.market
+            .with_wal(|wal| Ok(wal.position()))
+            .unwrap_or_default()
     }
 
     /// Force the log to stable storage regardless of the fsync policy.
-    // audit: holds-lock(wal)
     pub fn sync(&self) -> Result<(), MarketError> {
-        self.wal.lock().sync().map_err(|e| self.degrade_on(e))
+        self.market.with_wal(Wal::sync)
     }
 
     /// Write a fresh snapshot covering the whole log, then truncate the
@@ -589,25 +390,19 @@ impl DurableMarket {
     // audit: holds-lock(wal)
     pub fn compact(&self) -> Result<u64, MarketError> {
         let sw = qbdp_obs::Stopwatch::start();
-        self.ensure_writable()?;
-        let mut wal = self.wal.lock();
-        let covered = wal.position();
-        wal.append(&MarketEvent::SnapshotMark { wal_pos: covered })
-            .map_err(|e| self.degrade_on(e))?;
-        wal.sync().map_err(|e| self.degrade_on(e))?;
-        let mut snapshot = Snapshot::new(wal.position());
-        snapshot.push_section("market", self.market.to_qdp());
-        snapshot.push_section("ledger", self.market.with_ledger(Ledger::to_snapshot_text));
-        snapshot.push_section("policy", policy_text(&self.market.policy()));
+        self.market.ensure_writable()?;
         let path = self.dir.join(SNAPSHOT_FILE);
-        snapshot
-            .write_with(self.vfs.as_ref(), &path, &self.retry)
-            .map_err(|e| self.degrade_on(e))?;
-        wal.reset().map_err(|e| self.degrade_on(e))?;
-        snapshot.wal_pos = 0;
-        snapshot
-            .write_with(self.vfs.as_ref(), &path, &self.retry)
-            .map_err(|e| self.degrade_on(e))?;
+        let covered = self.market.with_wal(|wal| {
+            let covered = wal.position();
+            wal.append(&MarketEvent::SnapshotMark { wal_pos: covered })?;
+            wal.sync()?;
+            let mut snapshot = snapshot_of(&self.market, wal.position());
+            snapshot.write_with(self.vfs.as_ref(), &path, &self.retry)?;
+            wal.reset()?;
+            snapshot.wal_pos = 0;
+            snapshot.write_with(self.vfs.as_ref(), &path, &self.retry)?;
+            Ok(covered)
+        })?;
         qbdp_obs::record(qbdp_obs::Ctr::StoreCompactions, 1);
         sw.stop(qbdp_obs::Hst::CompactionUs);
         Ok(covered)
@@ -616,12 +411,12 @@ impl DurableMarket {
 
 /// Apply one logged event to a recovering market. Validation failures
 /// are skipped (they were returned to the live caller as errors and
-/// mutated nothing — see the module docs); undecodable literals and
-/// overflowing books are hard errors.
+/// mutated nothing — see the [`crate::market`] docs); undecodable
+/// literals and overflowing books are hard errors.
 fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), MarketError> {
     match event {
         MarketEvent::SetPrice { view, cents } => {
-            let _ = market.set_price(view, Price::cents(*cents));
+            let _ = market.apply_set_price(view, Price::cents(*cents));
         }
         MarketEvent::InsertTuple { relation, values } => {
             let parsed: Option<Vec<Value>> =
@@ -629,7 +424,7 @@ fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), 
             let Some(parsed) = parsed else {
                 return Err(corrupt(offset, "unparseable tuple literal"));
             };
-            let _ = market.insert(relation, [Tuple::new(parsed)]);
+            let _ = market.apply_insert(relation, Tuple::new(parsed));
         }
         MarketEvent::Purchase {
             query,
@@ -644,23 +439,10 @@ fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), 
                 *views as usize,
             )?;
         }
-        MarketEvent::PolicyChange {
-            deadline_ms,
-            fuel,
-            sell_degraded,
-            max_in_flight,
-            batch_workers,
-        } => {
-            market.set_policy(MarketPolicy {
-                deadline: deadline_ms.map(Duration::from_millis),
-                fuel: *fuel,
-                sell_degraded: *sell_degraded,
-                max_in_flight: *max_in_flight as usize,
-                batch_workers: *batch_workers as usize,
-                // Not carried by the event; see `parse_policy`.
-                incremental: false,
-                telemetry: false,
-            });
+        MarketEvent::PolicyChange { .. } => {
+            if let Some(policy) = MarketPolicy::from_event(event) {
+                market.apply_policy(policy);
+            }
         }
         MarketEvent::SnapshotMark { .. } => {}
     }
@@ -670,7 +452,9 @@ fn apply_event(market: &Market, event: &MarketEvent, offset: u64) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::market::MarketHealth;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     const QDP: &str = r#"
 schema R(X)
@@ -714,13 +498,17 @@ price T.Y=b3 100
     }
 
     fn drive(dm: &DurableMarket) {
-        dm.insert("R", [Tuple::new([Value::text("a3")])]).unwrap();
-        dm.set_price("T.Y=b2", Price::cents(250)).unwrap();
-        dm.purchase_str("Q(x) :- R(x)").unwrap();
-        dm.purchase_str("Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
+        dm.market()
+            .insert("R", [Tuple::new([Value::text("a3")])])
+            .unwrap();
+        dm.market().set_price("T.Y=b2", Price::cents(250)).unwrap();
+        dm.market().purchase_str("Q(x) :- R(x)").unwrap();
+        dm.market()
+            .purchase_str("Q(x, y) :- R(x), S(x, y), T(y)")
+            .unwrap();
         let mut policy = dm.market().policy();
         policy.fuel = Some(1_000_000);
-        dm.set_policy(policy).unwrap();
+        dm.market().set_policy(policy).unwrap();
     }
 
     fn assert_same(a: &Market, b: &Market) {
@@ -765,8 +553,12 @@ price T.Y=b3 100
         assert!(compacted > 0);
         assert_eq!(a.wal_position(), 0, "compaction truncates the log");
         // Post-compaction mutations land in the fresh log.
-        a.insert("T", [Tuple::new([Value::text("b2")])]).unwrap();
-        b.insert("T", [Tuple::new([Value::text("b2")])]).unwrap();
+        a.market()
+            .insert("T", [Tuple::new([Value::text("b2")])])
+            .unwrap();
+        b.market()
+            .insert("T", [Tuple::new([Value::text("b2")])])
+            .unwrap();
         drop(a);
         drop(b);
         let a = DurableMarket::open(&dir_a, FsyncPolicy::Never).unwrap();
@@ -803,8 +595,10 @@ price T.Y=b3 100
         );
         // …so acknowledged post-recovery mutations land at offsets the
         // snapshot no longer skips, and the *next* open replays them.
-        dm.insert("T", [Tuple::new([Value::text("b2")])]).unwrap();
-        dm.purchase_str("Q(x) :- R(x)").unwrap();
+        dm.market()
+            .insert("T", [Tuple::new([Value::text("b2")])])
+            .unwrap();
+        dm.market().purchase_str("Q(x) :- R(x)").unwrap();
         let qdp = dm.market().to_qdp();
         let revenue = dm.market().revenue();
         let ledger = dm.market().with_ledger(Ledger::to_snapshot_text);
@@ -839,7 +633,7 @@ price T.Y=b3 100
         let back = DurableMarket::open(&dir, FsyncPolicy::Never).unwrap();
         assert_eq!(back.market().to_qdp(), seeded_qdp);
         assert_eq!(
-            back.quote_str("Q(x) :- R(x)").unwrap().price,
+            back.market().quote_str("Q(x) :- R(x)").unwrap().price,
             Market::open_qdp(QDP)
                 .unwrap()
                 .quote_str("Q(x) :- R(x)")
@@ -881,12 +675,17 @@ price T.Y=b3 100
     fn rejected_mutations_replay_as_no_ops() {
         let dir = temp_dir("rejected");
         let dm = DurableMarket::create(&dir, QDP, FsyncPolicy::Never).unwrap();
-        dm.insert("R", [Tuple::new([Value::text("a3")])]).unwrap();
+        dm.market()
+            .insert("R", [Tuple::new([Value::text("a3")])])
+            .unwrap();
         // Outside the declared column: refused live, logged, and must be
         // skipped identically on replay.
-        assert!(dm.insert("R", [Tuple::new([Value::text("zz")])]).is_err());
-        assert!(dm.set_price("R.X=zz", Price::cents(5)).is_err());
-        dm.purchase_str("Q(x) :- R(x)").unwrap();
+        assert!(dm
+            .market()
+            .insert("R", [Tuple::new([Value::text("zz")])])
+            .is_err());
+        assert!(dm.market().set_price("R.X=zz", Price::cents(5)).is_err());
+        dm.market().purchase_str("Q(x) :- R(x)").unwrap();
         let live_qdp = dm.market().to_qdp();
         let live_revenue = dm.market().revenue();
         drop(dm);
@@ -929,21 +728,27 @@ price T.Y=b3 100
                 kind: FaultKind::Enospc { keep: 3 },
             }],
         );
-        dm.purchase_str("Q(x) :- R(x)").unwrap();
+        dm.market().purchase_str("Q(x) :- R(x)").unwrap();
         let revenue = dm.market().revenue();
-        let quote_before = dm.quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
+        let quote_before = dm.market().quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
         // The scripted ENOSPC hits this append: mutation refused, market
         // flips to read-only.
-        let err = dm.set_price("T.Y=b2", Price::cents(250)).unwrap_err();
+        let err = dm
+            .market()
+            .set_price("T.Y=b2", Price::cents(250))
+            .unwrap_err();
         assert!(matches!(err, MarketError::Store(ref e) if e.degrades_to_read_only()));
-        assert!(matches!(dm.health(), MarketHealth::ReadOnly { .. }));
+        assert!(matches!(
+            dm.market().health(),
+            MarketHealth::ReadOnly { .. }
+        ));
         // Quotes keep serving the last consistent state; further
         // mutations are refused with the typed Degraded error.
-        let quote_after = dm.quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
+        let quote_after = dm.market().quote_str("Q(x, y) :- R(x), S(x, y)").unwrap();
         assert_eq!(quote_before.price, quote_after.price);
         assert!(quote_after.lower_bound <= quote_after.price);
         assert!(matches!(
-            dm.purchase_str("Q(x) :- R(x)"),
+            dm.market().purchase_str("Q(x) :- R(x)"),
             Err(MarketError::Degraded(_))
         ));
         assert!(matches!(dm.compact(), Err(MarketError::Degraded(_))));
@@ -954,9 +759,11 @@ price T.Y=b3 100
         let back =
             DurableMarket::open_on(Arc::new(fs), &dir, FsyncPolicy::Never, RetryPolicy::none())
                 .unwrap();
-        assert_eq!(back.health(), MarketHealth::Healthy);
+        assert_eq!(back.market().health(), MarketHealth::Healthy);
         assert_eq!(back.market().revenue(), revenue);
-        back.set_price("T.Y=b2", Price::cents(250)).unwrap();
+        back.market()
+            .set_price("T.Y=b2", Price::cents(250))
+            .unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -974,15 +781,18 @@ price T.Y=b3 100
                 kind: FaultKind::FsyncFail,
             }],
         );
-        dm.purchase_str("Q(x) :- R(x)").unwrap();
+        dm.market().purchase_str("Q(x) :- R(x)").unwrap();
         let revenue = dm.market().revenue();
-        let err = dm.purchase_str("Q(x) :- R(x)").unwrap_err();
+        let err = dm.market().purchase_str("Q(x) :- R(x)").unwrap_err();
         assert!(
             matches!(err, MarketError::Store(StoreError::Poisoned { .. })),
             "{err:?}"
         );
-        assert!(matches!(dm.health(), MarketHealth::ReadOnly { .. }));
-        assert!(dm.quote_str("Q(x) :- R(x)").is_ok());
+        assert!(matches!(
+            dm.market().health(),
+            MarketHealth::ReadOnly { .. }
+        ));
+        assert!(dm.market().quote_str("Q(x) :- R(x)").is_ok());
         drop(dm);
         let back =
             DurableMarket::open_on(Arc::new(fs), &dir, FsyncPolicy::Never, RetryPolicy::none())
@@ -995,7 +805,7 @@ price T.Y=b3 100
             "revenue {:?} vs acked {revenue:?}",
             back.market().revenue()
         );
-        assert_eq!(back.health(), MarketHealth::Healthy);
+        assert_eq!(back.market().health(), MarketHealth::Healthy);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1017,7 +827,7 @@ price T.Y=b3 100
             RetryPolicy::none(),
         )
         .unwrap();
-        dm.purchase_str("Q(x) :- R(x)").unwrap();
+        dm.market().purchase_str("Q(x) :- R(x)").unwrap();
         fs.set_plan(qbdp_store::FaultPlan {
             script: vec![ScriptedFault {
                 op: FaultOp::Fsync,
@@ -1037,7 +847,7 @@ price T.Y=b3 100
         }
         // Non-degrading: the market stays healthy and the retried
         // compaction succeeds.
-        assert_eq!(dm.health(), MarketHealth::Healthy);
+        assert_eq!(dm.market().health(), MarketHealth::Healthy);
         dm.compact().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1046,7 +856,7 @@ price T.Y=b3 100
     fn scrub_reports_clean_then_detects_rot() {
         let dir = temp_dir("scrub");
         let dm = DurableMarket::create(&dir, QDP, FsyncPolicy::Always).unwrap();
-        dm.purchase_str("Q(x) :- R(x)").unwrap();
+        dm.market().purchase_str("Q(x) :- R(x)").unwrap();
         let report = dm.scrub();
         assert!(report.is_clean(), "{report}");
         assert!(report.wal_records >= 1);

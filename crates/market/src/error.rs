@@ -32,13 +32,15 @@ pub enum MarketError {
     /// snapshot…). For a live mutation this means the event was **not**
     /// durably recorded and the in-memory state was left unchanged.
     Store(StoreError),
-    /// Replaying the recorded history would push total revenue past the
-    /// representable range. Recovery refuses rather than wrapping or
-    /// silently saturating (the recovered books must equal the real ones).
+    /// The sale (live, or replayed from the log) would push total revenue
+    /// past the representable range. The market refuses rather than
+    /// wrapping or silently saturating: the books must equal the real
+    /// ones, and a recovered market must reproduce them.
     RevenueOverflow,
-    /// A durable purchase kept colliding with concurrent data or price
-    /// mutations: every quote was invalidated before it could be logged.
-    /// Nothing was recorded; retry when the update stream quiets down.
+    /// A purchase kept colliding with concurrent data or price
+    /// mutations: every quote was invalidated before it could be
+    /// recorded. Nothing was recorded; retry when the update stream
+    /// quiets down.
     Contended,
     /// The market has degraded to read-only serving: the durability
     /// layer can no longer acknowledge mutations (disk full, or an fsync
@@ -79,8 +81,8 @@ impl fmt::Display for MarketError {
             MarketError::RevenueOverflow => {
                 write!(
                     f,
-                    "replayed revenue exceeds the representable range; \
-                     refusing to recover wrapped books"
+                    "revenue would exceed the representable range; \
+                     refusing to record wrapped books"
                 )
             }
             MarketError::Contended => {

@@ -59,33 +59,11 @@ impl Ledger {
         }
     }
 
-    /// Record a sale; returns its id.
-    pub fn record_sale(
-        &mut self,
-        query: String,
-        price: Price,
-        answer_tuples: usize,
-        views: usize,
-    ) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.revenue = self.revenue.saturating_add(price);
-        self.transactions.push(Transaction::Sale {
-            id,
-            query,
-            price,
-            answer_tuples,
-            views,
-            at: Instant::now(),
-        });
-        id
-    }
-
-    /// Record a sale with **checked** revenue arithmetic: `None` (and no
-    /// state change) if the new total would overflow. The durable paths
-    /// use this — both live appends and recovery replay — so the books
-    /// can never silently wrap or saturate, and a replayed history is
-    /// guaranteed to reproduce the live totals digit for digit.
+    /// Record a sale; returns its id. Revenue arithmetic is **checked**:
+    /// `None` (and no state change) if the new total would overflow.
+    /// Live purchases and recovery replay both record through here, so
+    /// the books can never silently wrap or saturate, and a replayed
+    /// history reproduces the live totals digit for digit.
     pub fn record_sale_checked(
         &mut self,
         query: String,
@@ -276,8 +254,12 @@ mod tests {
     #[test]
     fn revenue_accumulates() {
         let mut l = Ledger::new();
-        let a = l.record_sale("Q1".into(), Price::dollars(3), 10, 2);
-        let b = l.record_sale("Q2".into(), Price::dollars(4), 0, 1);
+        let a = l
+            .record_sale_checked("Q1".into(), Price::dollars(3), 10, 2)
+            .unwrap();
+        let b = l
+            .record_sale_checked("Q2".into(), Price::dollars(4), 0, 1)
+            .unwrap();
         let c = l.record_update("R".into(), 5);
         assert!(a < b && b < c);
         assert_eq!(l.revenue(), Price::dollars(7));
@@ -300,9 +282,11 @@ mod tests {
     #[test]
     fn snapshot_text_roundtrip() {
         let mut l = Ledger::new();
-        l.record_sale("Q(x, y) :- R(x), S(x, y)".into(), Price::dollars(6), 1, 6);
+        l.record_sale_checked("Q(x, y) :- R(x), S(x, y)".into(), Price::dollars(6), 1, 6)
+            .unwrap();
         l.record_update("T".into(), 2);
-        l.record_sale("Q(x) :- R(x)".into(), Price::cents(425), 3, 4);
+        l.record_sale_checked("Q(x) :- R(x)".into(), Price::cents(425), 3, 4)
+            .unwrap();
         let text = l.to_snapshot_text();
         let back = Ledger::from_snapshot_text(&text).unwrap();
         assert_eq!(back.revenue(), l.revenue());
@@ -316,7 +300,8 @@ mod tests {
     #[test]
     fn snapshot_text_rejects_stale_next_id() {
         let mut l = Ledger::new();
-        l.record_sale("Q(x) :- R(x)".into(), Price::dollars(2), 1, 1);
+        l.record_sale_checked("Q(x) :- R(x)".into(), Price::dollars(2), 1, 1)
+            .unwrap();
         l.record_update("R".into(), 3);
         // next_id 3 is correct; rewinding it to a recorded id would hand
         // out duplicates after recovery.
@@ -334,7 +319,8 @@ mod tests {
     #[test]
     fn snapshot_text_rejects_tampered_totals() {
         let mut l = Ledger::new();
-        l.record_sale("Q(x) :- R(x)".into(), Price::dollars(2), 1, 1);
+        l.record_sale_checked("Q(x) :- R(x)".into(), Price::dollars(2), 1, 1)
+            .unwrap();
         let text = l.to_snapshot_text().replace("revenue 200", "revenue 999");
         assert!(Ledger::from_snapshot_text(&text).is_err());
         assert!(Ledger::from_snapshot_text("garbage").is_err());

@@ -18,13 +18,21 @@
 //!   preserved automatically (Prop 3.2 is instance-independent) and
 //!   full-query prices never drop (Prop 2.22);
 //! * a [`ledger::Ledger`] records every transaction and the running
-//!   revenue.
+//!   revenue, with checked arithmetic.
 //!
-//! Concurrency: quoting is read-only and proceeds under a shared lock;
-//! insertions take the write lock. Exact quotes are cached in a sharded,
-//! epoch-validated cache (`cache`, 16 `RwLock` shards outside the state
-//! lock) so a quote raced by a concurrent update is never served stale,
-//! and [`market::Market::quote_batch`] prices many queries at once on a
+//! One write protocol: [`Market`]'s four mutators (insert, set price,
+//! set policy, purchase) take the journal mutex, append the event, then
+//! apply it. The journal is empty in memory; [`DurableMarket`] is the
+//! market with a write-ahead log attached, plus the directory lifecycle
+//! (create, recover, compact, scrub). [`MarketOps`] serves both flavors
+//! through one surface.
+//!
+//! Concurrency: quoting and purchase pricing are read-only and proceed
+//! under a shared lock; applying a mutation takes the write lock. Exact
+//! quotes are cached in a sharded, epoch-validated cache (`cache`, 16
+//! `RwLock` shards outside the state lock) so a quote raced by a
+//! concurrent update is never served stale, and
+//! [`market::Market::quote_batch`] prices many queries at once on a
 //! scoped worker pool ([`market::MarketPolicy::batch_workers`]). The
 //! `concurrent` test module hammers a market from multiple threads
 //! (crossbeam) to validate the locking.
@@ -46,8 +54,8 @@ pub mod market;
 
 pub use api::MarketOps;
 pub use chaos::{fingerprint, ChaosConfig, ChaosReport, FaultMix, Fingerprint};
-pub use durable::{DurableMarket, MarketHealth, ReplayStep};
+pub use durable::{DurableMarket, ReplayStep};
 pub use error::MarketError;
 pub use ledger::{Ledger, Transaction};
-pub use market::{Market, MarketPolicy, MarketQuote, Purchase};
+pub use market::{Market, MarketHealth, MarketPolicy, MarketQuote, Purchase};
 pub use qbdp_store::{FsyncPolicy, MarketEvent, StoreError};

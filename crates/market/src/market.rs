@@ -1,6 +1,26 @@
 //! The [`Market`]: quotes, purchases, and live updates over the pricing
 //! engine, behind a `parking_lot::RwLock`.
 //!
+//! # Write protocol
+//!
+//! [`Market::insert`], [`Market::set_price`], [`Market::set_policy`] and
+//! [`Market::purchase_str`] are the only mutators, and all four run one
+//! protocol: refuse when degraded, take the journal mutex, append the
+//! event, then apply it under the state write lock. In memory the
+//! journal is empty and the append is a no-op; a durable market
+//! ([`crate::durable`]) attaches its write-ahead log there. Holding the
+//! journal mutex across append and apply makes log order equal apply
+//! order, so replay reproduces the live sequence.
+//!
+//! A mutation that fails *validation* during apply (unknown relation,
+//! value outside its column, an arbitrage-inducing price revision) has
+//! already been logged; that is harmless, because validation is a pure
+//! function of market state and replay, seeing the identical state,
+//! skips it with the identical verdict. What can never happen is the
+//! converse: an applied-but-unlogged mutation, the one that would make
+//! recovery forget acknowledged state. A purchase prices before it
+//! takes the journal mutex; see [`Market::purchase_str`].
+//!
 //! # Resource governance
 //!
 //! A [`MarketPolicy`] bounds every quote: an optional wall-clock deadline
@@ -10,15 +30,15 @@
 //! panicking engine surfaces as [`MarketError::Internal`] and the market
 //! keeps serving subsequent requests.
 
-// The workspace-wide lock hierarchy, outermost first. `wal` lives in the
-// durable layer, the rest here; any path acquiring against this order is
-// an R7 cycle at the next audit run.
+// The workspace-wide lock hierarchy, outermost first (`wal` is the
+// journal mutex); any path acquiring against this order is an R7 cycle
+// at the next audit run.
 // audit: lock-order(wal < state < plan < cache-shard)
 use crate::cache::ShardedQuoteCache;
 use crate::error::MarketError;
 use crate::ledger::Ledger;
 use parking_lot::{Mutex, RwLock};
-use qbdp_catalog::{AttrRef, Catalog, Instance, QdpFile, RelId, Tuple};
+use qbdp_catalog::{AttrRef, Catalog, Instance, QdpFile, RelId, Tuple, Value};
 use qbdp_core::dichotomy::QueryClass;
 use qbdp_core::price_points::PriceList;
 use qbdp_core::{
@@ -29,6 +49,7 @@ use qbdp_query::ast::{ConjunctiveQuery, Ucq};
 use qbdp_query::bundle::Bundle;
 use qbdp_query::parser::parse_rule;
 use qbdp_query::pretty;
+use qbdp_store::{MarketEvent, StoreError, Wal};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
@@ -100,6 +121,66 @@ impl MarketPolicy {
     fn budget(&self) -> Budget {
         self.budget_for(1)
     }
+
+    /// The policy a [`MarketEvent::PolicyChange`] records; `None` for
+    /// any other event.
+    pub(crate) fn from_event(event: &MarketEvent) -> Option<MarketPolicy> {
+        let MarketEvent::PolicyChange {
+            deadline_ms,
+            fuel,
+            sell_degraded,
+            max_in_flight,
+            batch_workers,
+        } = event
+        else {
+            return None;
+        };
+        Some(MarketPolicy {
+            deadline: deadline_ms.map(Duration::from_millis),
+            fuel: *fuel,
+            sell_degraded: *sell_degraded,
+            max_in_flight: *max_in_flight as usize,
+            batch_workers: *batch_workers as usize,
+            // In-process serving knobs, deliberately not persisted: a
+            // recovered market prices cold until the operator re-enables
+            // the incremental engine (its plan cache died with the process
+            // anyway, so there is nothing warm to preserve), and telemetry
+            // is an operator decision about *this* process, not market
+            // state.
+            incremental: false,
+            telemetry: false,
+        })
+    }
+}
+
+impl From<MarketPolicy> for MarketEvent {
+    /// The persisted part of a policy: everything but the in-process
+    /// knobs `incremental` and `telemetry`.
+    fn from(p: MarketPolicy) -> MarketEvent {
+        MarketEvent::PolicyChange {
+            deadline_ms: p.deadline.map(|d| d.as_millis() as u64),
+            fuel: p.fuel,
+            sell_degraded: p.sell_degraded,
+            max_in_flight: p.max_in_flight as u64,
+            batch_workers: p.batch_workers as u64,
+        }
+    }
+}
+
+/// Whether the market is accepting mutations. See [`Market::health`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MarketHealth {
+    /// Mutations and reads both served.
+    Healthy,
+    /// The durability layer can no longer acknowledge writes (disk
+    /// full, or an fsync failure poisoned the log). Quotes keep serving
+    /// from the last consistent state; mutations return
+    /// [`MarketError::Degraded`]. Reopening the market after the fault
+    /// clears recovers cleanly.
+    ReadOnly {
+        /// The store-layer diagnosis that triggered the degradation.
+        reason: String,
+    },
 }
 
 /// A buyer-facing quote.
@@ -143,6 +224,13 @@ struct State {
 
 /// A thread-safe, query-priced data marketplace.
 pub struct Market {
+    /// The write-ahead journal: `None` in memory, the directory's log
+    /// once [`crate::durable`] attaches one. Every mutator holds this
+    /// mutex (audit name `wal`) across append and apply; see the module
+    /// docs.
+    journal: Mutex<Option<Wal>>,
+    /// Whether mutations are accepted. Only a journal failure flips it.
+    health: RwLock<MarketHealth>,
     state: RwLock<State>,
     /// Quote cache keyed by the *rendered* query (canonical form). Lives
     /// outside the state lock — lookups and fills take only a per-shard
@@ -177,6 +265,10 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
+/// Revalidation rounds a purchase gets before it gives up as
+/// [`MarketError::Contended`].
+const PURCHASE_RETRIES: usize = 8;
+
 /// Run a pricing or evaluation call with panics contained at the market
 /// boundary. The lock is not poisoned (parking_lot) and nothing was
 /// mutated, so the market keeps serving after reporting the failure.
@@ -200,10 +292,10 @@ where
 
 /// Telemetry epilogue for the serial serving paths: close the trace,
 /// record the latency histogram and outcome counters, and hand the span
-/// tree to the flight recorder when the quote went wrong (degraded,
-/// refused-degraded, panicked) or crossed the slow threshold. Free when
-/// telemetry is off: the stopwatch never read the clock and the trace
-/// was never begun.
+/// tree to the flight recorder when the request went wrong (degraded,
+/// refused-degraded, panicked, contended) or crossed the slow threshold.
+/// Free when telemetry is off: the stopwatch never read the clock and
+/// the trace was never begun.
 fn observe_served(
     query: &str,
     sw: qbdp_obs::Stopwatch,
@@ -247,6 +339,15 @@ fn observe_served(
                 spans,
             );
         }
+        (None, Some(MarketError::Contended)) => {
+            flight::capture(
+                Why::Contended,
+                query,
+                us,
+                format!("{PURCHASE_RETRIES} revalidation retries exhausted"),
+                spans,
+            );
+        }
         _ => {}
     }
 }
@@ -272,6 +373,8 @@ impl Market {
         }
         let columns = pricer.catalog().schema().all_attrs();
         Ok(Market {
+            journal: Mutex::new(None),
+            health: RwLock::new(MarketHealth::Healthy),
             state: RwLock::new(State {
                 pricer,
                 ledger: Ledger::new(),
@@ -283,11 +386,96 @@ impl Market {
         })
     }
 
-    /// Replace the market's resource policy. The `telemetry` flag is
+    /// Attach a write-ahead log: from here on every mutation is
+    /// appended to it before it is applied. Recovery attaches the log
+    /// after replay, so replayed events are not logged twice.
+    // audit: holds-lock(wal)
+    pub(crate) fn attach_journal(&self, wal: Wal) {
+        *self.journal.lock() = Some(wal);
+    }
+
+    /// Whether the market is accepting mutations or has degraded to
+    /// read-only serving. An in-memory market is always healthy.
+    /// Degradation is one-way for a given handle; reopening the
+    /// directory is the repair path.
+    // audit: holds-lock(health)
+    pub fn health(&self) -> MarketHealth {
+        self.health.read().clone()
+    }
+
+    /// Refuse mutations once degraded. Checked *before* the journal
+    /// mutex is taken so a degraded market never queues writers behind
+    /// it.
+    // audit: holds-lock(health)
+    pub(crate) fn ensure_writable(&self) -> Result<(), MarketError> {
+        match &*self.health.read() {
+            MarketHealth::Healthy => Ok(()),
+            MarketHealth::ReadOnly { reason } => Err(MarketError::Degraded(reason.clone())),
+        }
+    }
+
+    /// Classify a store failure: faults that void the durability
+    /// contract ([`StoreError::degrades_to_read_only`]) flip the market
+    /// to read-only serving; everything else (transient exhaustion,
+    /// validation-adjacent corruption) passes through typed, leaving
+    /// the market healthy.
+    // audit: holds-lock(health)
+    fn degrade_on(&self, e: StoreError) -> MarketError {
+        if e.degrades_to_read_only() {
+            let mut health = self.health.write();
+            if *health == MarketHealth::Healthy {
+                *health = MarketHealth::ReadOnly {
+                    reason: e.to_string(),
+                };
+                qbdp_obs::record(qbdp_obs::Ctr::MarketHealthFlips, 1);
+                qbdp_obs::record_gauge(qbdp_obs::Gauge::HealthReadOnly, 1);
+            }
+        }
+        MarketError::Store(e)
+    }
+
+    /// Append `event` to the journal the caller holds (a no-op in
+    /// memory).
+    // audit: holds-lock(wal)
+    fn append(&self, journal: &mut Option<Wal>, event: &MarketEvent) -> Result<(), MarketError> {
+        if let Some(wal) = journal {
+            wal.append(event).map_err(|e| self.degrade_on(e))?;
+        }
+        Ok(())
+    }
+
+    /// Run `f` on the attached log under the journal mutex, degrading
+    /// the market on a store failure that voids durability. A market
+    /// without a log refuses with [`MarketError::Internal`].
+    // audit: holds-lock(wal)
+    pub(crate) fn with_wal<R>(
+        &self,
+        f: impl FnOnce(&mut Wal) -> Result<R, StoreError>,
+    ) -> Result<R, MarketError> {
+        let mut journal = self.journal.lock();
+        let Some(wal) = journal.as_mut() else {
+            return Err(MarketError::Internal("no write-ahead log attached".into()));
+        };
+        f(wal).map_err(|e| self.degrade_on(e))
+    }
+
+    /// Replace the market's resource policy. Journaled like every
+    /// mutation, minus the in-process knobs `incremental` and
+    /// `telemetry`.
+    // audit: holds-lock(wal)
+    pub fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
+        self.ensure_writable()?;
+        let mut journal = self.journal.lock();
+        self.append(&mut journal, &policy.into())?;
+        self.apply_policy(policy);
+        Ok(())
+    }
+
+    /// Apply a policy (live, and on replay). The `telemetry` flag is
     /// applied to the process-wide `qbdp-obs` switch here — the one
     /// place serving policy and recording policy meet.
     // audit: holds-lock(state)
-    pub fn set_policy(&self, policy: MarketPolicy) {
+    pub(crate) fn apply_policy(&self, policy: MarketPolicy) {
         qbdp_obs::set_enabled(policy.telemetry);
         self.state.write().policy = policy;
     }
@@ -330,15 +518,6 @@ impl Market {
             prices.set(SelectionView::new(attr, value), Price::cents(cents));
         }
         Market::open(file.catalog, file.instance, prices)
-    }
-
-    /// Open (recover) a durable market persisted under `dir` — snapshot
-    /// load plus write-ahead-log suffix replay. See [`crate::durable`].
-    pub fn open_durable(
-        dir: impl AsRef<std::path::Path>,
-        fsync: qbdp_store::FsyncPolicy,
-    ) -> Result<crate::durable::DurableMarket, MarketError> {
-        crate::durable::DurableMarket::open(dir, fsync)
     }
 
     /// Quote a query given in datalog syntax
@@ -560,14 +739,26 @@ impl Market {
         })
     }
 
-    /// Purchase a query (datalog syntax): quote, evaluate, record, deliver.
-    // audit: holds-lock(state)
+    /// Purchase a query (datalog syntax): quote, evaluate, record,
+    /// deliver.
+    ///
+    /// Pricing and evaluation run under the state read lock only, never
+    /// under the journal mutex (qbdp-audit rule R3), so a purchase does
+    /// not stall quotes. The cache epoch names the data/price snapshot
+    /// the quote was derived from: every data or price mutation bumps it
+    /// under the journal mutex, so an unchanged epoch observed *under*
+    /// the mutex proves the quoted terms still hold. An epoch that moved
+    /// means an update landed mid-purchase; the stale quote is discarded
+    /// and the purchase re-priced (bounded retries, then
+    /// [`MarketError::Contended`]). Overflowing revenue is refused with
+    /// [`MarketError::RevenueOverflow`] *before* the event is logged, so
+    /// the log never holds an unreplayable purchase.
     pub fn purchase_str(&self, query: &str) -> Result<Purchase, MarketError> {
         let sw = qbdp_obs::Stopwatch::start();
         if qbdp_obs::enabled() {
             qbdp_obs::trace::begin();
         }
-        let out = self.purchase_str_inner(query);
+        let out = self.purchase_journaled(query);
         observe_served(
             query,
             sw,
@@ -580,9 +771,53 @@ impl Market {
     }
 
     /// The uninstrumented body of [`Market::purchase_str`].
+    // audit: holds-lock(wal)
+    fn purchase_journaled(&self, query: &str) -> Result<Purchase, MarketError> {
+        self.ensure_writable()?;
+        // audit: bounded(fixed retry cap; each round does one pricing call)
+        for _ in 0..PURCHASE_RETRIES {
+            let epoch = self.cache.epoch();
+            let (quote, answer) = self.evaluate_purchase(query)?;
+            self.ensure_writable()?;
+            let mut journal = self.journal.lock();
+            if self.cache.epoch() != epoch {
+                drop(journal);
+                qbdp_obs::record(qbdp_obs::Ctr::MarketPurchaseRetries, 1);
+                continue;
+            }
+            if self.revenue().checked_add(quote.price).is_none() {
+                return Err(MarketError::RevenueOverflow);
+            }
+            self.append(
+                &mut journal,
+                &MarketEvent::Purchase {
+                    query: quote.query.clone(),
+                    price_cents: quote.price.as_cents(),
+                    answer_tuples: answer.len() as u64,
+                    views: quote.views.len() as u64,
+                },
+            )?;
+            let transaction_id = self.apply_recorded_sale(
+                quote.query.clone(),
+                quote.price,
+                answer.len(),
+                quote.views.len(),
+            )?;
+            return Ok(Purchase {
+                transaction_id,
+                quote,
+                answer,
+            });
+        }
+        qbdp_obs::record(qbdp_obs::Ctr::MarketPurchaseContended, 1);
+        Err(MarketError::Contended)
+    }
+
+    /// Quote and evaluate a purchase under the state read lock, without
+    /// recording it.
     // audit: holds-lock(state)
-    fn purchase_str_inner(&self, query: &str) -> Result<Purchase, MarketError> {
-        let mut state = self.state.write();
+    fn evaluate_purchase(&self, query: &str) -> Result<(MarketQuote, Vec<Tuple>), MarketError> {
+        let state = self.state.read();
         let _slot = self.admit(state.policy.max_in_flight)?;
         let q = parse_rule(state.pricer.catalog().schema(), query)?;
         let quote = self.quote_inner(&state, &q)?;
@@ -595,27 +830,39 @@ impl Market {
                 .into_iter()
                 .collect();
         answer.sort();
-        let transaction_id = state.ledger.record_sale(
-            quote.query.clone(),
-            quote.price,
-            answer.len(),
-            quote.views.len(),
-        );
-        Ok(Purchase {
-            transaction_id,
-            quote,
-            answer,
-        })
+        Ok((quote, answer))
     }
 
-    /// Seller-side data insertion (§2.7). Prices stay fixed; consistency is
-    /// automatic for selection-view lists.
-    // audit: holds-lock(state)
+    /// Seller-side data insertion (§2.7). Prices stay fixed; consistency
+    /// is automatic for selection-view lists. Each tuple is one journal
+    /// event and one apply, so replay reproduces the exact ledger
+    /// sequence. Returns the number of tuples actually added (a
+    /// duplicate adds 0); a tuple the catalog refuses ends the call with
+    /// its error, and the tuples before it stay inserted.
+    // audit: holds-lock(wal)
     pub fn insert(
         &self,
         relation: &str,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<usize, MarketError> {
+        self.ensure_writable()?;
+        let mut journal = self.journal.lock();
+        let mut added = 0usize;
+        for tuple in tuples {
+            let event = MarketEvent::InsertTuple {
+                relation: relation.to_string(),
+                values: tuple.iter().map(Value::render_literal).collect(),
+            };
+            self.append(&mut journal, &event)?;
+            added += self.apply_insert(relation, tuple)?;
+        }
+        Ok(added)
+    }
+
+    /// Insert one tuple (live, after the journal append, and on replay).
+    /// A refused tuple changes nothing.
+    // audit: holds-lock(state)
+    pub(crate) fn apply_insert(&self, relation: &str, tuple: Tuple) -> Result<usize, MarketError> {
         let mut state = self.state.write();
         let rel: RelId = state
             .pricer
@@ -625,8 +872,8 @@ impl Market {
             .ok_or_else(|| MarketError::Update(format!("unknown relation {relation}")))?;
         let added = state
             .pricer
-            // audit: allow(R7: core's instance-data insert — a name collision with the durable market's `insert`, no lock behind it)
-            .insert(rel, tuples)
+            // audit: allow(R7: core's instance-data insert — a name collision with `Market::insert`, no lock behind it)
+            .insert(rel, [tuple])
             .map_err(|e| MarketError::Update(e.to_string()))?;
         // Invalidate while still holding the write lock, so the epoch
         // bumps are ordered with the data mutation (see `crate::cache`).
@@ -652,10 +899,9 @@ impl Market {
 
     /// The quote cache's current mutation generation: 0 for a fresh (or
     /// freshly recovered) market, bumped by every data/price mutation.
-    /// Exposed so the durable purchase path can revalidate a quote
-    /// against *any* intervening change, and so durability tests can
-    /// assert a recovered market starts from 0 rather than inheriting
-    /// replay bumps.
+    /// The purchase path revalidates a quote against it; durability
+    /// tests assert a recovered market starts from 0 rather than
+    /// inheriting replay bumps.
     pub fn cache_epoch(&self) -> u64 {
         self.cache.epoch()
     }
@@ -677,30 +923,8 @@ impl Market {
         self.plan.lock().clear();
     }
 
-    /// Quote and evaluate a purchase without recording it — the durable
-    /// path splits purchasing into (price, log, apply) so the WAL entry
-    /// is written *between* pricing and the ledger mutation.
-    // audit: holds-lock(state)
-    pub(crate) fn evaluate_purchase(
-        &self,
-        query: &str,
-    ) -> Result<(MarketQuote, Vec<Tuple>), MarketError> {
-        let state = self.state.read();
-        let _slot = self.admit(state.policy.max_in_flight)?;
-        let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let quote = self.quote_inner(&state, &q)?;
-        // Same containment as `purchase_str_inner`: the durable path's
-        // evaluation must not unwind through `purchase_str`.
-        let mut answer: Vec<Tuple> =
-            contain_panic(|| qbdp_query::eval::eval_cq(&q, state.pricer.instance()))?
-                .into_iter()
-                .collect();
-        answer.sort();
-        Ok((quote, answer))
-    }
-
-    /// Record a sale whose terms are already known (durable live path
-    /// and WAL replay), with checked revenue arithmetic.
+    /// Record a sale whose terms are already known (live, after the
+    /// journal append, and on replay), with checked revenue arithmetic.
     // audit: holds-lock(state)
     pub(crate) fn apply_recorded_sale(
         &self,
@@ -758,11 +982,26 @@ impl Market {
     }
 
     /// Seller-side price revision: set (or add) the price of one selection
-    /// view. The revised list must remain arbitrage-free (Proposition 3.2)
-    /// or the update is rejected and nothing changes. Quotes are
-    /// re-derived from the new list (the cache is cleared).
-    // audit: holds-lock(state)
+    /// view (`R.X=a` selector syntax). The revised list must remain
+    /// arbitrage-free (Proposition 3.2) or the update is rejected and
+    /// nothing changes.
+    // audit: holds-lock(wal)
     pub fn set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
+        self.ensure_writable()?;
+        let mut journal = self.journal.lock();
+        let event = MarketEvent::SetPrice {
+            view: view.to_string(),
+            cents: price.as_cents(),
+        };
+        self.append(&mut journal, &event)?;
+        self.apply_set_price(view, price)
+    }
+
+    /// Revise one price (live, after the journal append, and on
+    /// replay). Quotes over the revised column are re-derived from the
+    /// new list.
+    // audit: holds-lock(state)
+    pub(crate) fn apply_set_price(&self, view: &str, price: Price) -> Result<(), MarketError> {
         let mut state = self.state.write();
         // `view` syntax: `R.X=a`.
         let (attr, value) = view.split_once('=').ok_or_else(|| {
@@ -1008,10 +1247,12 @@ price T.Y=b3 100
     #[test]
     fn batch_admission_counts_every_query() {
         let market = Market::open_qdp(FIG1_QDP).unwrap();
-        market.set_policy(MarketPolicy {
-            max_in_flight: 2,
-            ..MarketPolicy::default()
-        });
+        market
+            .set_policy(MarketPolicy {
+                max_in_flight: 2,
+                ..MarketPolicy::default()
+            })
+            .unwrap();
         let queries = ["Q(x) :- R(x)", "Q(y) :- T(y)", "Q(x, y) :- S(x, y)"];
         let refused = market.quote_batch(&queries);
         assert_eq!(refused.len(), 3);
@@ -1074,5 +1315,24 @@ price T.Y=b3 100
                 .price,
             Price::dollars(6)
         );
+    }
+
+    /// Regression: the in-memory purchase once saturated revenue at
+    /// `INFINITE` instead of refusing the sale that overflows it.
+    #[test]
+    fn purchase_refuses_revenue_overflow() {
+        let near_max = Price::INFINITE.as_cents() - 1;
+        let qdp = format!("schema V(X)\ncolumn V.X = {{v}}\ntuple V(v)\nprice V.X=v {near_max}\n");
+        let market = Market::open_qdp(&qdp).unwrap();
+        let first = market.purchase_str("Q(x) :- V(x)").unwrap();
+        assert_eq!(first.quote.price, Price::cents(near_max));
+        let ledger = market.with_ledger(Ledger::to_snapshot_text);
+        assert!(matches!(
+            market.purchase_str("Q(x) :- V(x)"),
+            Err(MarketError::RevenueOverflow)
+        ));
+        assert_eq!(market.sales(), 1);
+        assert_eq!(market.revenue(), Price::cents(near_max));
+        assert_eq!(market.with_ledger(Ledger::to_snapshot_text), ledger);
     }
 }

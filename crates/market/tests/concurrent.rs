@@ -261,7 +261,7 @@ fn price_update_storm(writers: usize, incremental: bool) {
     if incremental {
         let mut policy = market.policy();
         policy.incremental = true;
-        market.set_policy(policy);
+        market.set_policy(policy).unwrap();
     }
     let quoters = 8 - writers;
 

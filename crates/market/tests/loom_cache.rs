@@ -15,9 +15,9 @@
 //!    equals the price derived from the current data (*serve safety*),
 //!    and no entry tagged with a dead epoch survives quiescence
 //!    (*hygiene* — the module docs' "no dead entry lingers" claim).
-//! 2. **Durable purchase** (`crates/market/src/durable.rs`):
-//!    price-outside-the-WAL-mutex with generation revalidation, racing
-//!    a durable mutation. Invariants: the market state always equals
+//! 2. **Journaled purchase** (`crates/market/src/market.rs`):
+//!    price-outside-the-journal-mutex with generation revalidation,
+//!    racing a journaled mutation. Invariants: the market state always equals
 //!    the replay of some prefix of the log (*prefix consistency* — the
 //!    crash-recovery contract), and every logged purchase carries the
 //!    price of the data it was appended against (*quote freshness*).
@@ -35,14 +35,15 @@
 //!
 //! # Why a model, and why that is sound here
 //!
-//! `ShardedQuoteCache` and `DurableMarket` protect every shared-state
-//! transition with a lock or a single atomic; each critical section is
-//! linearizable, so any execution of the real code is equivalent to
-//! some interleaving of those sections. The models below reproduce the
-//! protocols step-for-step at exactly that granularity — one model
-//! step per critical section or bare atomic, annotated with the code
-//! it mirrors — so exhaustively exploring the model covers every
-//! behaviour the real scheduler can produce at this abstraction level.
+//! `ShardedQuoteCache` and `Market`'s write protocol protect every
+//! shared-state transition with a lock or a single atomic; each
+//! critical section is linearizable, so any execution of the real code
+//! is equivalent to some interleaving of those sections. The models
+//! below reproduce the protocols step-for-step at exactly that
+//! granularity — one model step per critical section or bare atomic,
+//! annotated with the code it mirrors — so exhaustively exploring the
+//! model covers every behaviour the real scheduler can produce at this
+//! abstraction level.
 //!
 //! # Teeth
 //!
@@ -336,17 +337,17 @@ fn seeded_unchecked_get_serves_a_stale_quote() {
 }
 
 // ---------------------------------------------------------------------
-// Model 2: DurableMarket purchase vs. durable mutation.
+// Model 2: journaled purchase vs. journaled mutation.
 // ---------------------------------------------------------------------
 
 #[derive(Clone, Copy)]
 struct WalVariant {
-    /// `purchase_str` re-checks the cache epoch under the WAL mutex
-    /// before logging (durable.rs `purchase_str`); the seeded bug
+    /// `purchase_str` re-checks the cache epoch under the journal mutex
+    /// before logging (market.rs `purchase_journaled`); the seeded bug
     /// logs the possibly-stale quote unconditionally.
     revalidate_epoch: bool,
     /// Events are appended to the log before being applied (the
-    /// write protocol in durable.rs module docs); the seeded bug
+    /// write protocol in market.rs module docs); the seeded bug
     /// applies the sale first.
     append_before_apply: bool,
 }
@@ -385,8 +386,8 @@ struct WalState {
     p_retries: u32,
 }
 
-/// Threads: 0 = purchaser (`DurableMarket::purchase_str`),
-/// 1 = mutator (`DurableMarket::insert` / `set_price`).
+/// Threads: 0 = purchaser (`Market::purchase_str`),
+/// 1 = mutator (`Market::insert` / `set_price`).
 fn wal_step(v: WalVariant) -> impl Fn(&mut WalState, usize, usize) -> Step {
     move |s, t, pc| match (t, pc) {
         // Purchaser.
@@ -402,7 +403,7 @@ fn wal_step(v: WalVariant) -> impl Fn(&mut WalState, usize, usize) -> Step {
             Step::Ran(2)
         }
         (0, 2) => {
-            // `self.wal.lock()`.
+            // `self.journal.lock()`.
             if s.mutex_held_by.is_some() {
                 return Step::Blocked;
             }

@@ -41,7 +41,7 @@ pub enum Why {
     Slow,
     /// The quote was served degraded (budget exhausted, interval price).
     Degraded,
-    /// A durable purchase exhausted its revalidation retries.
+    /// A purchase exhausted its revalidation retries.
     Contended,
     /// Pricing panicked and was contained.
     Panicked,

@@ -297,8 +297,8 @@ catalog! {
         MarketAdmissionRejects => ("qbdp_market_admission_rejects_total", "Quotes refused by max_in_flight admission control"),
         MarketHealthFlips => ("qbdp_market_health_flips_total", "MarketHealth transitions to ReadOnly"),
         MarketPanicsContained => ("qbdp_market_panics_contained_total", "Pricing panics caught and converted to MarketError::Internal"),
-        MarketPurchaseRetries => ("qbdp_market_purchase_retries_total", "Durable purchase epoch-revalidation retries"),
-        MarketPurchaseContended => ("qbdp_market_purchase_contended_total", "Durable purchases abandoned as Contended after the retry cap"),
+        MarketPurchaseRetries => ("qbdp_market_purchase_retries_total", "Purchase epoch-revalidation retries"),
+        MarketPurchaseContended => ("qbdp_market_purchase_contended_total", "Purchases abandoned as Contended after the retry cap"),
         PlanCacheHits => ("qbdp_plan_cache_hits_total", "Plan-cache lookups served with an unchanged price vector"),
         PlanCacheMisses => ("qbdp_plan_cache_misses_total", "Plan-cache lookups that built a plan from scratch"),
         PlanCacheWarmReprices => ("qbdp_plan_cache_warm_reprices_total", "Plan-cache lookups repriced from a residual warm start"),

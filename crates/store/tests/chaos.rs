@@ -162,14 +162,17 @@ fn fsync_poison_keeps_serving_then_recovers() {
         RetryPolicy::none(),
     )
     .unwrap();
-    dm.purchase_str("Q(x) :- R(x)").unwrap();
-    dm.purchase_str("Q(x, y) :- S(x, y)").unwrap();
+    dm.market().purchase_str("Q(x) :- R(x)").unwrap();
+    dm.market().purchase_str("Q(x, y) :- S(x, y)").unwrap();
     let acked_revenue = dm.market().revenue();
     // Third append hits the scripted fsync failure.
-    assert!(dm.purchase_str("Q(y) :- T(y)").is_err());
-    assert!(matches!(dm.health(), MarketHealth::ReadOnly { .. }));
+    assert!(dm.market().purchase_str("Q(y) :- T(y)").is_err());
+    assert!(matches!(
+        dm.market().health(),
+        MarketHealth::ReadOnly { .. }
+    ));
     // Quotes keep serving sound intervals from the frozen state.
-    let q = dm.quote_str("Q(x) :- R(x)").unwrap();
+    let q = dm.market().quote_str("Q(x) :- R(x)").unwrap();
     assert!(q.lower_bound <= q.price);
     drop(dm);
     fs.simulate_crash(99).unwrap();
@@ -180,9 +183,9 @@ fn fsync_poison_keeps_serving_then_recovers() {
         RetryPolicy::none(),
     )
     .unwrap();
-    assert_eq!(back.health(), MarketHealth::Healthy);
+    assert_eq!(back.market().health(), MarketHealth::Healthy);
     assert!(back.market().revenue() >= acked_revenue, "acked sales kept");
-    back.purchase_str("Q(x) :- R(x)").unwrap();
+    back.market().purchase_str("Q(x) :- R(x)").unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -200,7 +203,7 @@ fn scrub_detects_post_crash_bit_rot() {
         RetryPolicy::none(),
     )
     .unwrap();
-    dm.purchase_str("Q(x) :- R(x)").unwrap();
+    dm.market().purchase_str("Q(x) :- R(x)").unwrap();
     assert!(dm.scrub().is_clean());
     // Rot one durable byte mid-log, as a dying disk would.
     let wal_path = dir.join("market.wal");

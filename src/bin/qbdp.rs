@@ -298,7 +298,7 @@ fn main() -> ExitCode {
                     telemetry,
                     ..market.market().policy()
                 };
-                if let Err(e) = market.set_policy(policy) {
+                if let Err(e) = market.market().set_policy(policy) {
                     qbdp_obs::log_error!("cannot set policy: {e}");
                     return ExitCode::FAILURE;
                 }
@@ -325,12 +325,16 @@ fn main() -> ExitCode {
                 }
             };
             if deadline_ms.is_some() || sell_degraded || telemetry {
-                market.set_policy(MarketPolicy {
+                let policy = MarketPolicy {
                     deadline: deadline_ms.map(Duration::from_millis),
                     sell_degraded,
                     telemetry,
                     ..MarketPolicy::default()
-                });
+                };
+                if let Err(e) = market.set_policy(policy) {
+                    qbdp_obs::log_error!("cannot set policy: {e}");
+                    return ExitCode::FAILURE;
+                }
             }
             run(&market, rest)
         }

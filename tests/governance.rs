@@ -45,11 +45,13 @@ fn h4_large_instance_meets_deadline() {
     let prices = wprices::uniform(&qs.catalog, Price::dollars(1));
     let market = Market::open(qs.catalog.clone(), d, prices).unwrap();
     let deadline = Duration::from_millis(50);
-    market.set_policy(MarketPolicy {
-        deadline: Some(deadline),
-        sell_degraded: true,
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            deadline: Some(deadline),
+            sell_degraded: true,
+            ..MarketPolicy::default()
+        })
+        .unwrap();
 
     let start = Instant::now();
     let quote = market.quote_str("H4(x) :- R(x, y)").unwrap();
@@ -162,10 +164,12 @@ fn injected_panic_poisons_only_its_own_batch_slot() {
     let market = Market::open_qdp(FIG1_QDP).unwrap();
     // One worker makes job order deterministic: slot 0 trips the one-shot
     // trap, the rest price normally.
-    market.set_policy(MarketPolicy {
-        batch_workers: 1,
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            batch_workers: 1,
+            ..MarketPolicy::default()
+        })
+        .unwrap();
     let queries = [
         "Q(x, y) :- R(x), S(x, y), T(y)",
         "Q(x) :- R(x)",
@@ -203,21 +207,25 @@ fn sell_degraded_policy_gates_upper_bound_quotes() {
     let prices = wprices::uniform(&qs.catalog, Price::dollars(1));
     let market = Market::open(qs.catalog.clone(), d, prices).unwrap();
 
-    market.set_policy(MarketPolicy {
-        fuel: Some(1),
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            fuel: Some(1),
+            ..MarketPolicy::default()
+        })
+        .unwrap();
     let err = market.quote_str("H4(x) :- R(x, y)");
     assert!(
         matches!(err, Err(MarketError::DeadlineExceeded)),
         "expected DeadlineExceeded, got {err:?}"
     );
 
-    market.set_policy(MarketPolicy {
-        fuel: Some(1),
-        sell_degraded: true,
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            fuel: Some(1),
+            sell_degraded: true,
+            ..MarketPolicy::default()
+        })
+        .unwrap();
     let quote = market.quote_str("H4(x) :- R(x, y)").unwrap();
     assert!(!quote.quality.is_exact());
     assert!(quote.price.is_finite());
@@ -227,14 +235,16 @@ fn sell_degraded_policy_gates_upper_bound_quotes() {
 #[test]
 fn admission_cap_refuses_excess_quotes() {
     let market = Market::open_qdp(FIG1_QDP).unwrap();
-    market.set_policy(MarketPolicy {
-        max_in_flight: 0,
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            max_in_flight: 0,
+            ..MarketPolicy::default()
+        })
+        .unwrap();
     let err = market.quote_str("Q(x) :- R(x)");
     assert!(matches!(err, Err(MarketError::Overloaded)), "{err:?}");
 
     // Restoring capacity restores service (slots were released on error).
-    market.set_policy(MarketPolicy::default());
+    market.set_policy(MarketPolicy::default()).unwrap();
     assert!(market.quote_str("Q(x) :- R(x)").is_ok());
 }

@@ -92,7 +92,8 @@ fn market_pair() -> (Market, Market) {
     warm.set_policy(MarketPolicy {
         incremental: true,
         ..MarketPolicy::default()
-    });
+    })
+    .unwrap();
     (warm, cold)
 }
 
@@ -235,7 +236,7 @@ fn degraded_intervals_match_under_tight_budgets() {
             let mut policy = market.policy();
             policy.fuel = Some(fuel);
             policy.sell_degraded = true;
-            market.set_policy(policy);
+            market.set_policy(policy).unwrap();
         }
         for _ in 0..4 {
             random_insert(&mut rng, &warm, &cold);

@@ -27,10 +27,12 @@ const FIG1_QDP: &str = include_str!("../data/figure1.qdp");
 fn telemetry_acceptance_end_to_end() {
     // --- 1. the pipeline trace for the Figure-1 chain query. -------
     let market = Market::open_qdp(FIG1_QDP).unwrap();
-    market.set_policy(MarketPolicy {
-        telemetry: true,
-        ..MarketPolicy::default()
-    });
+    market
+        .set_policy(MarketPolicy {
+            telemetry: true,
+            ..MarketPolicy::default()
+        })
+        .unwrap();
     let out = cli::run_command(&market, "price --trace Q(x, y) :- R(x), S(x, y), T(y)");
     assert!(out.contains("price : $6.00"), "quote itself wrong:\n{out}");
     for span in [
@@ -86,7 +88,8 @@ fn telemetry_acceptance_end_to_end() {
         deadline: Some(Duration::from_millis(1)),
         sell_degraded: true,
         ..MarketPolicy::default()
-    });
+    })
+    .unwrap();
     let degraded = hard.quote_str("H4(x) :- R(x, y)").unwrap();
     assert!(!degraded.quality.is_exact(), "expected a degraded quote");
     let flight = cli::run_command(&hard, "stats --flight");
@@ -99,7 +102,43 @@ fn telemetry_acceptance_end_to_end() {
         "flight record lost the query text:\n{flight}"
     );
 
+    // --- 4. durable purchases share the serial telemetry epilogue. --
+    let dir = std::env::temp_dir().join(format!("qbdp_obs_durable_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let dm = DurableMarket::create(&dir, FIG1_QDP, FsyncPolicy::Never).unwrap();
+    dm.set_policy(MarketPolicy {
+        telemetry: true,
+        ..MarketPolicy::default()
+    })
+    .unwrap();
+    let purchases = || {
+        qbdp_obs::global()
+            .counter(qbdp_obs::Ctr::MarketPurchases)
+            .get()
+    };
+    let before = purchases();
+    dm.purchase_str("Q(x) :- R(x)").unwrap();
+    assert_eq!(purchases(), before + 1, "one durable purchase, one count");
+    dm.set_policy(MarketPolicy {
+        telemetry: true,
+        fuel: Some(1),
+        sell_degraded: true,
+        ..MarketPolicy::default()
+    })
+    .unwrap();
+    let chain = "Q(x, y) :- R(x), S(x, y), T(y)";
+    let degraded = dm.purchase_str(chain).unwrap();
+    assert!(!degraded.quote.quality.is_exact(), "fuel 1 must degrade");
+    assert!(
+        qbdp_obs::flight::dump()
+            .iter()
+            .any(|r| r.why == qbdp_obs::flight::Why::Degraded && r.query == chain),
+        "degraded durable purchase not captured by the flight recorder"
+    );
+    drop(dm);
+    std::fs::remove_dir_all(&dir).ok();
+
     // Leave the process-global flag the way the next binary expects it.
-    hard.set_policy(MarketPolicy::default());
+    hard.set_policy(MarketPolicy::default()).unwrap();
     assert!(!qbdp_obs::enabled());
 }

@@ -13,7 +13,7 @@ use qbdp::prelude::*;
 use qbdp::store::Wal;
 use qbdp::workload::scenarios::{business, sports, webgraph};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -46,7 +46,10 @@ fn roundtrip(tag: &str, market: Market, probes: &[&str], buy: &str) {
     let dm = DurableMarket::create(&dir, &market.to_qdp(), FsyncPolicy::EveryN(2)).unwrap();
     dm.purchase_str(buy).unwrap();
     dm.purchase_str(probes[0]).unwrap();
-    let live: Vec<MarketQuote> = probes.iter().map(|p| dm.quote_str(p).unwrap()).collect();
+    let live: Vec<MarketQuote> = probes
+        .iter()
+        .map(|p| dm.market().quote_str(p).unwrap())
+        .collect();
     let live_revenue = dm.market().revenue();
     let live_sales = dm.market().with_ledger(Ledger::sales);
     let live_ledger = dm.market().with_ledger(Ledger::to_snapshot_text);
@@ -300,7 +303,7 @@ fn fault_class_recovery(tag: &str, qdp: &str, clean_buy: &str, armed_buy: &str) 
                 .unwrap();
         dm.purchase_str(clean_buy).unwrap();
         let acked = sorted_fp(dm.market());
-        let armed_cents = dm.quote_str(armed_buy).unwrap().price.as_cents();
+        let armed_cents = dm.market().quote_str(armed_buy).unwrap().price.as_cents();
 
         let is_fsync_poison = matches!(kind, FaultKind::FsyncFail);
         fs.set_plan(FaultPlan {
@@ -327,7 +330,7 @@ fn fault_class_recovery(tag: &str, qdp: &str, clean_buy: &str, armed_buy: &str) 
                 "{tag}/{name}: durable damage must degrade the market"
             );
             // Quotes keep serving sound intervals from the frozen state.
-            let q = dm.quote_str(clean_buy).unwrap();
+            let q = dm.market().quote_str(clean_buy).unwrap();
             assert!(q.lower_bound <= q.price, "{tag}/{name}: degraded quote");
             acked
         };
@@ -357,7 +360,7 @@ fn fault_class_recovery(tag: &str, qdp: &str, clean_buy: &str, armed_buy: &str) 
             );
         }
         // The reopened market is fully writable again.
-        assert!(back.quote_str(clean_buy).is_ok(), "{tag}/{name}");
+        assert!(back.market().quote_str(clean_buy).is_ok(), "{tag}/{name}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -426,6 +429,116 @@ fn business_recovers_under_every_fault_class() {
     );
 }
 
+/// One seeded op script, applied through the same `MarketOps` surface to
+/// an in-memory market and to a durable one: every op must get the same
+/// verdict from both, and both (plus the durable one reopened) must end
+/// with identical data, prices, and books. The script covers multi-tuple
+/// and refused inserts, accepted, out-of-column and arbitrage-inducing
+/// price revisions, purchases up to and past revenue overflow, and
+/// policy changes.
+#[test]
+fn memory_and_durable_markets_agree_on_one_script() {
+    #[derive(Debug)]
+    enum Op {
+        Insert(&'static str, Vec<Tuple>),
+        SetPrice(&'static str, u64),
+        Purchase(&'static str),
+        Policy(MarketPolicy),
+    }
+    let pool = vec![
+        Op::Insert("R", vec![tuple!["a3"]]),
+        Op::Insert("S", vec![tuple!["a3", "b3"], tuple!["a2", "b1"]]),
+        Op::Insert("T", vec![tuple!["b2"]]),
+        Op::Insert("R", vec![tuple!["zz"]]),
+        Op::Insert("S", vec![tuple!["a4", "b3"], tuple!["zz", "b1"]]),
+        Op::Insert("Nope", vec![tuple!["a1"]]),
+        Op::SetPrice("T.Y=b2", 250),
+        Op::SetPrice("S.Y=b1", 25),
+        Op::SetPrice("R.X=zz", 5),
+        // Above the full cover of S.Y whatever the S.Y revisions did.
+        Op::SetPrice("S.X=a1", 99_999),
+        Op::SetPrice("S.X", 10),
+        Op::Purchase("Q(x) :- R(x)"),
+        Op::Purchase("Q(x, y) :- R(x), S(x, y), T(y)"),
+        Op::Purchase("Q(x) :- V(x)"),
+        Op::Purchase("not a rule"),
+        Op::Policy(MarketPolicy {
+            fuel: Some(200),
+            sell_degraded: true,
+            ..MarketPolicy::default()
+        }),
+        Op::Policy(MarketPolicy {
+            fuel: Some(1),
+            ..MarketPolicy::default()
+        }),
+        Op::Policy(MarketPolicy {
+            incremental: true,
+            ..MarketPolicy::default()
+        }),
+        Op::Policy(MarketPolicy::default()),
+    ];
+    // Every op twice, in one seeded order: `Q(x) :- V(x)` is bought at
+    // least twice, and V's one view is priced a cent under the
+    // `INFINITE` sentinel, so revenue overflows.
+    let mut order: Vec<usize> = (0..pool.len()).chain(0..pool.len()).collect();
+    let mut rng = StdRng::seed_from_u64(0x0d1f);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let qdp = format!(
+        "{FIG1_QDP}\nschema V(X)\ncolumn V.X = {{v}}\ntuple V(v)\nprice V.X=v {}\n",
+        Price::INFINITE.as_cents() - 1
+    );
+    let memory = Market::open_qdp(&qdp).unwrap();
+    let dir = temp_dir("differential");
+    let durable = DurableMarket::create(&dir, &qdp, FsyncPolicy::Never).unwrap();
+
+    let apply = |m: &dyn MarketOps, op: &Op| -> Result<String, MarketError> {
+        match op {
+            Op::Insert(rel, tuples) => m.insert(rel, tuples.clone()).map(|n| n.to_string()),
+            Op::SetPrice(view, cents) => {
+                m.set_price(view, Price::cents(*cents)).map(|()| "".into())
+            }
+            Op::Purchase(q) => m
+                .purchase_str(q)
+                .map(|p| format!("#{} {} {:?}", p.transaction_id, p.quote.price, p.answer)),
+            Op::Policy(p) => m.set_policy(*p).map(|()| "".into()),
+        }
+    };
+    let mut refusals = std::collections::BTreeSet::new();
+    for (step, &i) in order.iter().enumerate() {
+        let op = &pool[i];
+        let verdicts = [&memory as &dyn MarketOps, &durable]
+            .map(|m| apply(m, op).map_err(|e| std::mem::discriminant(&e)));
+        assert_eq!(verdicts[0], verdicts[1], "step {step}: {op:?}");
+        if let Err(kind) = verdicts[0] {
+            refusals.insert(format!("{kind:?}"));
+        }
+    }
+    for kind in [
+        MarketError::RevenueOverflow,
+        MarketError::InconsistentPrices(String::new()),
+        MarketError::Update(String::new()),
+    ] {
+        let kind = format!("{:?}", std::mem::discriminant(&kind));
+        assert!(refusals.contains(&kind), "the script never hit {kind}");
+    }
+
+    let books = |m: &Market| {
+        (
+            m.to_qdp(),
+            m.revenue(),
+            m.sales(),
+            m.with_ledger(Ledger::to_snapshot_text),
+        )
+    };
+    assert_eq!(books(&memory), books(durable.market()));
+    drop(durable);
+    let reopened = DurableMarket::open(&dir, FsyncPolicy::Never).unwrap();
+    assert_eq!(books(&memory), books(reopened.market()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A history whose replayed revenue would cross the representable range
 /// is refused with a typed error — the books never wrap or saturate.
 #[test]
@@ -479,7 +592,7 @@ fn live_overflow_is_refused_before_logging() {
     }
     assert_eq!(dm.wal_position(), wal_before, "refused purchase not logged");
     // The market keeps serving and stays recoverable.
-    assert!(dm.quote_str("Q(x) :- R(x)").is_ok());
+    assert!(dm.market().quote_str("Q(x) :- R(x)").is_ok());
     drop(dm);
     assert!(DurableMarket::open(&dir, FsyncPolicy::Never).is_ok());
     std::fs::remove_dir_all(&dir).ok();
