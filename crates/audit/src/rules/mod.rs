@@ -110,9 +110,13 @@ impl Config {
                 "price_bundle_within",
                 "price_batch_within",
                 "price_batch_with_workers",
+                "price_cq_with_plan",
+                "price_classified",
+                "run_batch",
                 "quote_str",
                 "quote_batch",
-                "quote_inner",
+                "quote_slots",
+                "price_query",
                 "evaluate_purchase",
                 "explain_str",
             ]),

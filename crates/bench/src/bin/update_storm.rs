@@ -1,20 +1,21 @@
 //! E17: the update storm — what incremental pricing buys when quotes
-//! interleave with price revisions. Two markets serve the identical
-//! op stream: one pricing every quote cold (the default policy), one
-//! through the plan cache + residual warm starts
-//! (`MarketPolicy::incremental`). Each `set_price` invalidates the
-//! touched quotes column-scoped, so every measured quote really pays a
-//! reprice — the cold market re-solves its min-cut from scratch, the
-//! warm one repairs the previous flow. Per-quote latencies are
-//! recorded and the medians compared at two mixes (90/10 and 50/50
-//! quote/setprice) across two scenarios; results print as a table and
-//! land in `BENCH_update_storm.json` for the experiment index.
+//! interleave with price revisions. Two markets take the identical op
+//! stream: on one every quote is parsed and priced cold by
+//! `Pricer::price_cq` on the market's pricer, on the other it is a
+//! `Market::quote_str`, served through the plan cache + residual warm
+//! starts. Each `set_price` invalidates the touched quotes
+//! column-scoped, so every measured warm quote really pays a reprice —
+//! the cold side re-solves its min-cut from scratch, the warm one
+//! repairs the previous flow. Per-quote latencies are recorded and the
+//! medians compared at two mixes (90/10 and 50/50 quote/setprice)
+//! across two scenarios; results print as a table and land in
+//! `BENCH_update_storm.json` for the experiment index.
 
 use qbdp_catalog::{tuple, Catalog, CatalogBuilder, Column};
 use qbdp_core::price_points::PriceList;
 use qbdp_core::Price;
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_market::{Market, MarketPolicy};
+use qbdp_market::Market;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -92,16 +93,12 @@ fn scenarios() -> Vec<Scenario> {
 }
 
 /// Run `QUOTES` quotes at `quotes_per_revision` against a fresh market,
-/// returning per-quote latencies in microseconds, sorted.
-fn run_mix(scenario: &Scenario, quotes_per_revision: usize, incremental: bool) -> Vec<f64> {
+/// returning per-quote latencies in microseconds, sorted. `warm` quotes
+/// through `Market::quote_str`; otherwise each quote is parsed and
+/// priced cold by `Pricer::price_rule` (`price_cq` over the parse).
+fn run_mix(scenario: &Scenario, quotes_per_revision: usize, warm: bool) -> Vec<f64> {
     let market = chain_market();
-    market
-        .set_policy(MarketPolicy {
-            incremental,
-            ..MarketPolicy::default()
-        })
-        .expect("policy");
-    // Warm both engines up: fill plan/quote caches once so the measured
+    // Warm both sides up: fill plan/quote caches once so the measured
     // region compares steady states, not first-touch derivation.
     for q in &scenario.queries {
         market.quote_str(q).expect("warmup quote");
@@ -117,9 +114,16 @@ fn run_mix(scenario: &Scenario, quotes_per_revision: usize, incremental: bool) -
         }
         let q = &scenario.queries[i % scenario.queries.len()];
         let start = Instant::now();
-        let quote = market.quote_str(q).expect("storm quote");
+        let price = if warm {
+            market.quote_str(q).expect("storm quote").price
+        } else {
+            market
+                .with_pricer(|p| p.price_rule(q))
+                .expect("cold quote")
+                .price
+        };
         latencies.push(start.elapsed().as_secs_f64() * 1e6);
-        std::hint::black_box(quote);
+        std::hint::black_box(price);
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     latencies

@@ -1,16 +1,17 @@
-//! Parallel batch pricing: fan a slice of bundles over a scoped worker
+//! Parallel batch pricing: fan a slice of jobs over a scoped worker
 //! pool.
 //!
 //! Equation 2 makes the arbitrage-price a pure function of the instance
 //! epoch, the (normalized) query, and the price points — quotes for
-//! different queries share no mutable state, so a batch of them is
-//! embarrassingly parallel. The pool is `N` workers stealing job indices
-//! from a shared [`Injector`]; each worker prices whole jobs, so its
-//! thread-local Dinic arena (see `qbdp_flow::DinicArena`) is reused across
-//! every flow run it performs. The caller's [`Budget`] is [split][
-//! Budget::split] across jobs — fuel divided evenly, the wall-clock
-//! deadline shared — so a batch obeys the same governance envelope as the
-//! serial loop it replaces.
+//! different queries share no mutable state beyond the plan cache, whose
+//! per-shape shards a job locks only for its own shape — so a batch of
+//! them is embarrassingly parallel. The pool ([`run_batch`]) is `N`
+//! workers stealing job indices from a shared [`Injector`]; each worker
+//! prices whole jobs, so its thread-local Dinic arena (see
+//! `qbdp_flow::DinicArena`) is reused across every flow run it performs.
+//! The caller's [`Budget`] is [split][Budget::split] across jobs — fuel
+//! divided evenly, the wall-clock deadline shared — so a batch obeys the
+//! same governance envelope as the serial loop it replaces.
 //!
 //! Panic containment is per job: a pricing engine that panics poisons only
 //! its own slot (surfacing as [`PricingError::Internal`]), never its
@@ -40,6 +41,93 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "pricing engine panicked".to_string())
 }
 
+/// Run `job` over every element of `jobs` on a scoped pool of `workers`
+/// threads, under one shared [`Budget`].
+///
+/// The budget is [split][Budget::split] into one sub-budget per job:
+/// fuel is divided evenly across the batch, the deadline is shared, and
+/// cancelling the parent budget stops every job. `workers == 0` means
+/// [`default_workers`]; the count is capped at `jobs.len()`, and one
+/// worker (or one job) runs inline on the caller's thread (still under
+/// split budgets, so results match the parallel path exactly). Results
+/// are positionally aligned with `jobs`; a panicking job fails only its
+/// own slot, as [`PricingError::Internal`].
+pub fn run_batch<J, T, E>(
+    jobs: &[J],
+    budget: &Budget,
+    workers: usize,
+    job: impl Fn(&J, &Budget) -> Result<T, E> + Sync,
+) -> Vec<Result<T, E>>
+where
+    J: Sync,
+    T: Send,
+    E: Send + From<PricingError>,
+{
+    if jobs.is_empty() {
+        return Vec::new();
+    }
+    let budgets = budget.split(jobs.len());
+    let run = |i: usize| {
+        catch_unwind(AssertUnwindSafe(|| job(&jobs[i], &budgets[i])))
+            .unwrap_or_else(|p| Err(PricingError::Internal(panic_message(p)).into()))
+    };
+    let workers = match (jobs.len(), workers) {
+        // A lone job runs inline: no need to ask how many cores there
+        // are (`available_parallelism` reads cgroup files, ~20 µs).
+        (1, _) => 1,
+        (_, 0) => default_workers(),
+        (_, n) => n,
+    }
+    .min(jobs.len());
+    if workers == 1 {
+        return (0..jobs.len()).map(run).collect();
+    }
+    let injector = Injector::new();
+    for i in 0..jobs.len() {
+        injector.push(i);
+    }
+    let mut slots: Vec<Option<Result<T, E>>> = Vec::new();
+    slots.resize_with(jobs.len(), || None);
+    let done = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|_| {
+                    // One worker = one OS thread = one thread-local
+                    // Dinic arena reused across every stolen job.
+                    let mut out: Vec<(usize, Result<T, E>)> = Vec::new();
+                    loop {
+                        match injector.steal() {
+                            Steal::Success(i) => out.push((i, run(i))),
+                            Steal::Empty => break,
+                            Steal::Retry => continue,
+                        }
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_default())
+            .collect::<Vec<_>>()
+    })
+    .unwrap_or_default();
+    for (i, r) in done {
+        slots[i] = Some(r);
+    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|| {
+                Err(
+                    PricingError::Internal("batch worker died before pricing this job".to_string())
+                        .into(),
+                )
+            })
+        })
+        .collect()
+}
+
 impl Pricer {
     /// Price one bundle the way the serial façade would: single-query
     /// bundles go through the dichotomy dispatch (so batch results are
@@ -65,86 +153,15 @@ impl Pricer {
         self.price_batch_with_workers(bundles, budget, default_workers())
     }
 
-    /// [`Pricer::price_batch_within`] with an explicit worker count.
-    ///
-    /// The budget is [split][Budget::split] into one sub-budget per job:
-    /// fuel is divided evenly across the batch, the deadline is shared,
-    /// and cancelling the parent budget stops every job. `workers` is
-    /// clamped to `[1, bundles.len()]`; one worker degenerates to the
-    /// serial loop (still under split budgets, so results match the
-    /// parallel path exactly).
+    /// [`Pricer::price_batch_within`] with an explicit worker count
+    /// (`0` = [`default_workers`]): the bundles run through [`run_batch`].
     pub fn price_batch_with_workers(
         &self,
         bundles: &[Bundle],
         budget: &Budget,
         workers: usize,
     ) -> Vec<Result<Quote, PricingError>> {
-        if bundles.is_empty() {
-            return Vec::new();
-        }
-        let budgets = budget.split(bundles.len());
-        let workers = workers.clamp(1, bundles.len());
-        if workers == 1 {
-            return bundles
-                .iter()
-                .zip(&budgets)
-                .map(|(bundle, sub)| {
-                    catch_unwind(AssertUnwindSafe(|| self.price_job(bundle, sub)))
-                        .unwrap_or_else(|p| Err(PricingError::Internal(panic_message(p))))
-                })
-                .collect();
-        }
-        let injector = Injector::new();
-        for i in 0..bundles.len() {
-            injector.push(i);
-        }
-        let mut slots: Vec<Option<Result<Quote, PricingError>>> = Vec::new();
-        slots.resize_with(bundles.len(), || None);
-        let priced = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        // One worker = one OS thread = one thread-local
-                        // Dinic arena reused across every stolen job.
-                        let mut out: Vec<(usize, Result<Quote, PricingError>)> = Vec::new();
-                        loop {
-                            match injector.steal() {
-                                Steal::Success(i) => {
-                                    let r = catch_unwind(AssertUnwindSafe(|| {
-                                        self.price_job(&bundles[i], &budgets[i])
-                                    }))
-                                    .unwrap_or_else(|p| {
-                                        Err(PricingError::Internal(panic_message(p)))
-                                    });
-                                    out.push((i, r));
-                                }
-                                Steal::Empty => break,
-                                Steal::Retry => continue,
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_default())
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_default();
-        for (i, r) in priced {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(PricingError::Internal(
-                        "batch worker died before pricing this job".to_string(),
-                    ))
-                })
-            })
-            .collect()
+        run_batch(bundles, budget, workers, |b, sub| self.price_job(b, sub))
     }
 
     /// Convenience: parse and price a batch of datalog rules in parallel.

@@ -40,10 +40,11 @@
 //!   quotes (upper bound + lower bound) returned when a budget runs out;
 //! * [`batch`] — parallel batch pricing: a scoped worker pool (shared
 //!   injector, per-worker Dinic arenas, fuel split across jobs) that
-//!   prices many bundles concurrently with per-job panic containment;
-//! * [`plan_cache`] — the incremental pricing engine: a shape-keyed cache
-//!   of normalized plans + solved flow networks, repriced by residual
-//!   warm starts so repeated query shapes under changed price vectors pay
+//!   runs many pricing jobs concurrently with per-job panic containment;
+//! * [`plan_cache`] — the incremental pricing engine behind every
+//!   unlimited-budget market quote: a sharded, shape-keyed cache of
+//!   normalized plans + solved flow networks, repriced by residual warm
+//!   starts so repeated query shapes under changed price vectors pay
 //!   only the min-cut delta (bit-identical to cold pricing).
 
 pub mod batch;

@@ -23,9 +23,10 @@
 //!
 //! * no change — the cached quote is returned verbatim;
 //! * a changed view maps to graph edges and stays finite — each affected
-//!   branch gets [`DinicArena::warm_start`] capacity repairs, branch base
-//!   costs are re-summed from their recorded cover views, and the quote is
-//!   reassembled by the same branch-minimum rule the cold path uses;
+//!   branch gets [`qbdp_flow::DinicArena::warm_start`] capacity repairs,
+//!   branch base costs are re-summed from their recorded cover views, and
+//!   the quote is reassembled by the same branch-minimum rule the cold
+//!   path uses;
 //! * a change touches a *transformed* attribute (Step 2 collapsed its
 //!   relation, or the build recorded a non-invertible provenance), or a
 //!   price crosses finite ↔ ∞ (which can flip Step 3's cover gating or the
@@ -38,26 +39,42 @@
 //! minimum cut, identical for every maximum flow.
 //!
 //! Only exact, unlimited-budget quotes are cached — degraded quotes
-//! depend on budget state that is not part of the shape key. Queries
-//! outside the pure chain-flow path (boolean, disconnected, cycles,
-//! NP-hard classes, Edmonds–Karp ablation) delegate to the ordinary
-//! [`Pricer`] entry points and bypass the cache.
+//! depend on budget state that is not part of the shape key, so a
+//! budgeted quote prices cold through [`Pricer::price_cq_within`].
+//! Queries outside the pure chain-flow path (boolean, disconnected,
+//! cycles, NP-hard classes) delegate to [`Pricer::price_cq`] and bypass
+//! the cache.
+//!
+//! ## Sharding
+//!
+//! Entries live in 16 independently locked maps, selected by the
+//! shape key's hash (the layout of the market's quote cache). A quote
+//! holds only its own shape's shard lock (audit name `plan`), and only
+//! while it prices that one shape, so batch-pool workers pricing
+//! different shapes rarely contend. Flow scratch comes from the
+//! thread's Dinic arena, shared with cold pricing.
 
-use crate::budget::QuoteQuality;
-use crate::chain::graph::ChainGraph;
-use crate::chain::price::FlowAlgo;
-use crate::dichotomy::{classify, QueryClass};
+use crate::budget::{Budget, QuoteQuality};
+use crate::chain::graph::{ChainGraph, TupleEdgeMode};
+use crate::chain::price::with_arena;
+use crate::dichotomy::QueryClass;
 use crate::error::PricingError;
 use crate::gchq::reorder_to_gchq;
 use crate::money::Price;
 use crate::normalize::{step1_predicates, step2_repeated, step3_hanging, Problem, Provenance};
-use crate::price_points::PriceList;
-use crate::pricer::{Pricer, PricingMethod, Quote};
-use qbdp_catalog::{AttrRef, Catalog, FxHashMap, FxHashSet, RelId};
+use crate::pricer::{classify_traced, Pricer, PricingMethod, Quote};
+use parking_lot::Mutex;
+use qbdp_catalog::fxhash::FxHasher;
+use qbdp_catalog::{AttrRef, Catalog, FxHashMap, FxHashSet, RelId, Value};
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_flow::{DinicArena, EdgeId, FlowGraph, NodeId, ResidualState, Unmetered};
+use qbdp_flow::{EdgeId, FlowGraph, NodeId, ResidualState, Unmetered};
 use qbdp_query::ast::{ConjunctiveQuery, Term, Var};
 use qbdp_query::chain::ChainQuery;
+use std::hash::Hasher;
+
+/// Number of independently locked shards. Must be a power of two (shard
+/// selection masks the key hash).
+const SHARDS: usize = 16;
 
 /// Counters describing what the cache has been doing (for benches and
 /// tests; not part of any equivalence argument).
@@ -77,9 +94,9 @@ pub struct PlanStats {
 }
 
 impl PlanStats {
-    // The per-instance tallies (asserted exactly by tests and printed by
-    // `qbdp price --incremental`) and the global registry are fed from
-    // one increment site each, so the two views can never diverge.
+    // The per-instance tallies (asserted exactly by tests) and the global
+    // registry are fed from one increment site each, so the two views
+    // can never diverge.
 
     fn hit(&mut self) {
         self.hits += 1;
@@ -104,6 +121,17 @@ impl PlanStats {
     fn evict(&mut self, n: u64) {
         self.evictions += n;
         qbdp_obs::record(qbdp_obs::Ctr::PlanCacheEvictions, n);
+    }
+
+    /// Field-wise sum (the cache's total over its shards).
+    fn plus(self, o: PlanStats) -> PlanStats {
+        PlanStats {
+            hits: self.hits + o.hits,
+            misses: self.misses + o.misses,
+            warm_reprices: self.warm_reprices + o.warm_reprices,
+            flow_fallbacks: self.flow_fallbacks + o.flow_fallbacks,
+            evictions: self.evictions + o.evictions,
+        }
     }
 }
 
@@ -137,21 +165,43 @@ struct PlanEntry {
     /// networks (Step 2 min-merges, non-invertible provenance): any change
     /// here evicts.
     transformed: FxHashSet<AttrRef>,
-    /// Price-list snapshot the cached state was solved under.
-    prices: PriceList,
+    /// The footprint's prices the cached state was solved under, one per
+    /// view in footprint × column order.
+    prices: Vec<Price>,
     branches: Vec<CachedBranch>,
     /// The quote those branches produced (returned verbatim while the
     /// footprint prices are unchanged).
     quote: Quote,
 }
 
-/// The plan cache. One per market (or per pricing session); interior
-/// solver scratch is reused across entries via a private [`DinicArena`].
+/// A footprint price that moved since an entry's snapshot.
+struct Change {
+    /// Position in the entry's price snapshot.
+    at: usize,
+    view: SelectionView,
+    old: Price,
+    new: Price,
+}
+
+/// One lock's worth of the cache.
 #[derive(Default)]
-pub struct PlanCache {
+struct Shard {
     map: FxHashMap<String, PlanEntry>,
-    arena: DinicArena,
     stats: PlanStats,
+}
+
+/// The plan cache: one per market (or per pricing session), shared by
+/// every thread that prices through it.
+pub struct PlanCache {
+    shards: [Mutex<Shard>; SHARDS],
+}
+
+impl Default for PlanCache {
+    fn default() -> Self {
+        PlanCache {
+            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
+        }
+    }
 }
 
 /// Canonical shape key of a CQ: variables renamed by first occurrence
@@ -199,11 +249,8 @@ pub fn shape_key(q: &ConjunctiveQuery) -> String {
 /// query's price can depend on. The market layer uses the same footprint
 /// for column-scoped quote-cache invalidation.
 pub fn query_footprint(catalog: &Catalog, q: &ConjunctiveQuery) -> Vec<AttrRef> {
-    let mut rels: Vec<RelId> = q.atoms().iter().map(|a| a.rel).collect();
-    rels.sort();
-    rels.dedup();
     let mut out = Vec::new();
-    for rel in rels {
+    for rel in mentioned_rels(q) {
         let arity = catalog.schema().relation(rel).arity();
         // audit: bounded(one slot per attribute of a mentioned relation)
         for pos in 0..arity {
@@ -219,6 +266,17 @@ fn mentioned_rels(q: &ConjunctiveQuery) -> Vec<RelId> {
     rels.sort();
     rels.dedup();
     rels
+}
+
+/// Every footprint view, in the footprint × column order of a
+/// [`PlanEntry`]'s price snapshot.
+fn footprint_views<'a>(
+    catalog: &'a Catalog,
+    footprint: &'a [AttrRef],
+) -> impl Iterator<Item = (AttrRef, &'a Value)> + 'a {
+    footprint
+        .iter()
+        .flat_map(move |&attr| catalog.column(attr).iter().map(move |v| (attr, v)))
 }
 
 /// Attributes whose prices feed Step 2 min-merges: every attribute of a
@@ -257,176 +315,103 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Cache statistics.
+    fn shard(&self, key: &str) -> &Mutex<Shard> {
+        let mut h = FxHasher::default();
+        h.write(key.as_bytes());
+        &self.shards[(h.finish() as usize) & (SHARDS - 1)]
+    }
+
+    /// Cache statistics, summed over every shard.
+    // audit: holds-lock(plan)
     pub fn stats(&self) -> PlanStats {
-        self.stats
-    }
-
-    /// Number of cached shapes.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.shards
+            .iter()
+            .fold(PlanStats::default(), |acc, s| acc.plus(s.lock().stats))
     }
 
     /// Drop every entry (e.g. after recovery replay).
-    pub fn clear(&mut self) {
-        self.map.clear();
+    // audit: holds-lock(plan)
+    pub fn clear(&self) {
+        // audit: bounded(one pass over the SHARDS shards)
+        for s in &self.shards {
+            s.lock().map.clear();
+        }
     }
 
     /// Drop entries mentioning any of `rels` — required after an insert,
     /// because cached partial answers and networks embed the instance.
-    pub fn invalidate_rels(&mut self, rels: &[RelId]) {
-        let before = self.map.len();
-        self.map
-            .retain(|_, e| !e.mentioned.iter().any(|r| rels.contains(r)));
-        self.stats.evict((before - self.map.len()) as u64);
-    }
-
-    /// Whether this query takes the cached chain-flow path. Everything
-    /// else delegates to [`Pricer::price_cq`] unchanged.
-    fn cacheable(pricer: &Pricer, q: &ConjunctiveQuery, class: &QueryClass) -> bool {
-        *class == QueryClass::GeneralizedChain
-            && !q.atoms().is_empty()
-            && !q.is_boolean()
-            && pricer.config().flow_algo == FlowAlgo::Dinic
+    // audit: holds-lock(plan)
+    pub fn invalidate_rels(&self, rels: &[RelId]) {
+        // audit: bounded(one pass over the SHARDS shards)
+        for s in &self.shards {
+            let mut shard = s.lock();
+            let before = shard.map.len();
+            shard
+                .map
+                .retain(|_, e| !e.mentioned.iter().any(|r| rels.contains(r)));
+            let evicted = (before - shard.map.len()) as u64;
+            shard.stats.evict(evicted);
+        }
     }
 
     /// Price `q` exactly (unlimited budget), reusing a cached plan for its
     /// shape when one exists. The result is bit-identical to
     /// [`Pricer::price_cq`] — prices, views, method, class, quality — which
-    /// the `incremental_equiv` differential battery enforces.
-    pub fn quote(&mut self, pricer: &Pricer, q: &ConjunctiveQuery) -> Result<Quote, PricingError> {
-        let class = classify(q);
-        if !Self::cacheable(pricer, q, &class) {
-            return pricer.price_cq(q);
-        }
+    /// the `incremental_equiv` differential battery enforces. Holds the
+    /// shape's shard lock for the whole call and no other plan lock.
+    // audit: holds-lock(plan)
+    pub fn quote(&self, pricer: &Pricer, q: &ConjunctiveQuery) -> Result<Quote, PricingError> {
         crate::fault::maybe_panic();
+        let class = classify_traced(q);
+        if class != QueryClass::GeneralizedChain || q.atoms().is_empty() || q.is_boolean() {
+            return pricer.price_classified(q, class, &Budget::unlimited());
+        }
         let key = shape_key(q);
+        let mut shard = self.shard(&key).lock();
+        let shard = &mut *shard;
         // Entries are taken out of the map for mutation; a build failure
-        // simply leaves the shape uncached (exactly like a cold error).
-        if let Some(mut entry) = self.map.remove(&key) {
+        // (or a panic) simply leaves the shape uncached, exactly like a
+        // cold error.
+        if let Some(mut entry) = shard.map.remove(&key) {
             let mut span = qbdp_obs::trace::span("plan_cache");
             let changed = entry.diff(pricer);
             span.n(changed.len() as u64);
             if changed.is_empty() {
-                self.stats.hit();
+                shard.stats.hit();
                 span.detail("hit");
                 let quote = entry.quote.clone();
-                self.map.insert(key, entry);
+                shard.map.insert(key, entry);
                 return Ok(quote);
             }
-            let patchable = changed.iter().all(|(view, old, new)| {
-                old.is_finite() && new.is_finite() && !entry.transformed.contains(&view.attr)
+            let patchable = changed.iter().all(|c| {
+                c.old.is_finite() && c.new.is_finite() && !entry.transformed.contains(&c.view.attr)
             });
             if patchable {
                 span.detail("warm");
-                let quote = self.reprice(&mut entry, pricer, &changed)?;
-                self.stats.warm_reprice();
-                self.map.insert(key, entry);
+                let quote = entry.reprice(pricer, &changed, &mut shard.stats)?;
+                shard.stats.warm_reprice();
+                shard.map.insert(key, entry);
                 return Ok(quote);
             }
-            self.stats.evict(1);
+            shard.stats.evict(1);
             span.detail("evict");
         } else {
-            self.stats.miss();
+            shard.stats.miss();
             qbdp_obs::trace::event("plan_cache", "miss");
         }
         let build_span = qbdp_obs::trace::span("plan_build");
-        let (entry, quote) = self.build(pricer, q, class)?;
+        let (entry, quote) = PlanEntry::build(pricer, q, class)?;
         drop(build_span);
-        self.map.insert(key, entry);
+        shard.map.insert(key, entry);
         Ok(quote)
     }
+}
 
-    /// Warm-reprice a cached entry under `changed` footprint prices (all
-    /// finite → finite, none transformed).
-    fn reprice(
-        &mut self,
-        entry: &mut PlanEntry,
-        pricer: &Pricer,
-        changed: &[(SelectionView, Price, Price)],
-    ) -> Result<Quote, PricingError> {
-        let prices = pricer.prices();
-        let mut best = Price::INFINITE;
-        let mut best_views: Vec<SelectionView> = Vec::new();
-        for branch in &mut entry.branches {
-            let patches: Vec<(EdgeId, u64)> = changed
-                .iter()
-                .filter_map(|(view, _, new)| {
-                    branch
-                        .edge_of_original
-                        .get(view)
-                        .map(|&e| (e, new.as_capacity()))
-                })
-                .collect();
-            if !patches.is_empty() {
-                let out = self
-                    .arena
-                    .warm_start(
-                        &mut branch.graph,
-                        branch.s,
-                        branch.t,
-                        &mut branch.state,
-                        &patches,
-                        &Unmetered,
-                    )
-                    .map_err(|_| {
-                        PricingError::Internal("unmetered warm start interrupted".into())
-                    })?;
-                if out.fell_back {
-                    self.stats.flow_fallback();
-                }
-            }
-            // Base cost re-summed from the recorded cover views: equal to
-            // the cold pipeline's accumulated cover prices because every
-            // recorded view maps through identity or shifted-identity
-            // provenance at an unchanged-structure price (Step 2 merges
-            // were ruled out by the transformed-attr eviction).
-            let base_cost = branch
-                .base_views
-                .iter()
-                .fold(Price::ZERO, |acc, v| acc.saturating_add(prices.get(v)));
-            let price = Price::from_cut_value(branch.state.value());
-            let total = base_cost.saturating_add(price);
-            if total < best {
-                best = total;
-                best_views = branch.base_views.clone();
-                if price.is_finite() {
-                    let cut = branch.state.min_cut_edges(&branch.graph, branch.s);
-                    let mut originals: Vec<SelectionView> = cut
-                        .iter()
-                        .filter_map(|e| branch.view_edges.get(e))
-                        .flat_map(|v| branch.provenance.resolve(v))
-                        .collect();
-                    originals.sort();
-                    originals.dedup();
-                    best_views.extend(originals);
-                }
-            }
-        }
-        best_views.sort();
-        best_views.dedup();
-        let quote = Quote {
-            price: best,
-            views: best_views,
-            method: PricingMethod::ChainFlow,
-            class: entry.quote.class.clone(),
-            quality: QuoteQuality::Exact,
-            lower_bound: best,
-        };
-        entry.prices = prices.clone();
-        entry.quote = quote.clone();
-        Ok(quote)
-    }
-
+impl PlanEntry {
     /// Cold-build an entry: the GChQ pipeline with every branch's network
-    /// and residual state captured for later warm starts.
+    /// and residual state captured for later warm starts. Emits the cold
+    /// path's `normalize` and `flow_solve` spans.
     fn build(
-        &mut self,
         pricer: &Pricer,
         q: &ConjunctiveQuery,
         class: QueryClass,
@@ -443,35 +428,39 @@ impl PlanCache {
             catalog.clone(),
             pricer.instance().clone(),
             pricer.prices().clone(),
-            ordered.clone(),
+            ordered,
         );
+        let mut norm_span = qbdp_obs::trace::span("normalize");
         let problem = step1_predicates::apply(problem)?;
         let problem = step2_repeated::apply(problem)?;
         let branches = step3_hanging::branches(problem)?;
+        norm_span.detail("steps_1_3");
+        norm_span.n(branches.len() as u64);
+        drop(norm_span);
         let mut cached: Vec<CachedBranch> = Vec::with_capacity(branches.len());
         let mut best = Price::INFINITE;
         let mut best_views: Vec<SelectionView> = Vec::new();
         for branch in branches {
+            let mut flow_span = qbdp_obs::trace::span("flow_solve");
             let chain = ChainQuery::from_cq(&branch.problem.query)
                 .map_err(|e| PricingError::NotApplicable(e.to_string()))?;
             let pa = chain.partial_answers(&branch.problem.catalog, &branch.problem.instance);
-            let cg = ChainGraph::build(
-                &branch.problem.catalog,
-                &branch.problem.prices,
-                &chain,
-                &pa,
-                pricer.config().tuple_mode,
-            );
             let ChainGraph {
                 graph,
                 s,
                 t,
                 view_edges,
-            } = cg;
-            let flow = self
-                .arena
-                .max_flow(&graph, s, t, &Unmetered)
+            } = ChainGraph::build(
+                &branch.problem.catalog,
+                &branch.problem.prices,
+                &chain,
+                &pa,
+                TupleEdgeMode::Hub,
+            );
+            let flow = with_arena(|a| a.max_flow(&graph, s, t, &Unmetered))
                 .map_err(|_| PricingError::Internal("unmetered max flow interrupted".into()))?;
+            flow_span.detail("done");
+            drop(flow_span);
             let state = ResidualState::from(flow);
             // Invert view edges back to original price points. Anything
             // not invertible one-to-one at an equal price is marked
@@ -496,30 +485,13 @@ impl PlanCache {
                     }
                 }
             }
-            let price = Price::from_cut_value(state.value());
-            let total = branch.base_cost.saturating_add(price);
-            if total < best {
-                best = total;
-                best_views = branch.base_views.clone();
-                if price.is_finite() {
-                    let cut = state.min_cut_edges(&graph, s);
-                    let mut originals: Vec<SelectionView> = cut
-                        .iter()
-                        .filter_map(|e| view_edges.get(e))
-                        .flat_map(|v| branch.problem.provenance.resolve(v))
-                        .collect();
-                    originals.sort();
-                    originals.dedup();
-                    best_views.extend(originals);
-                }
-            }
             debug_assert_eq!(
                 branch.base_cost,
                 branch.base_views.iter().fold(Price::ZERO, |acc, v| acc
                     .saturating_add(pricer.prices().get(v))),
                 "cover views must re-sum to the branch base cost"
             );
-            cached.push(CachedBranch {
+            let cb = CachedBranch {
                 provenance: branch.problem.provenance,
                 base_views: branch.base_views,
                 graph,
@@ -528,54 +500,148 @@ impl PlanCache {
                 view_edges,
                 edge_of_original,
                 state,
-            });
+            };
+            cb.offer(branch.base_cost, &mut best, &mut best_views);
+            cached.push(cb);
         }
-        best_views.sort();
-        best_views.dedup();
-        let quote = Quote {
-            price: best,
-            views: best_views,
-            method: PricingMethod::ChainFlow,
-            class,
-            quality: QuoteQuality::Exact,
-            lower_bound: best,
-        };
+        let quote = chain_flow_quote(best, best_views, class);
+        let footprint = query_footprint(catalog, q);
+        let prices = footprint_views(catalog, &footprint)
+            .map(|(attr, v)| pricer.prices().get_at(attr, v))
+            .collect();
         let entry = PlanEntry {
             mentioned: mentioned_rels(q),
-            footprint: query_footprint(catalog, q),
+            footprint,
             transformed,
-            prices: pricer.prices().clone(),
+            prices,
             branches: cached,
             quote: quote.clone(),
         };
         Ok((entry, quote))
     }
-}
 
-impl PlanEntry {
     /// Footprint price points whose value differs between the snapshot and
-    /// the pricer's current list: `(view, old, new)`.
-    fn diff(&self, pricer: &Pricer) -> Vec<(SelectionView, Price, Price)> {
-        let catalog = pricer.catalog();
+    /// the pricer's current list.
+    fn diff(&self, pricer: &Pricer) -> Vec<Change> {
         let current = pricer.prices();
-        let mut changed = Vec::new();
         // audit: bounded(footprint × column scan, once per cache hit)
-        for &attr in &self.footprint {
-            for value in catalog.column(attr).iter() {
-                let old = self.prices.get_at(attr, value);
+        footprint_views(pricer.catalog(), &self.footprint)
+            .zip(&self.prices)
+            .enumerate()
+            .filter_map(|(at, ((attr, value), &old))| {
                 let new = current.get_at(attr, value);
-                if old != new {
-                    changed.push((SelectionView::new(attr, value.clone()), old, new));
+                (old != new).then(|| Change {
+                    at,
+                    view: SelectionView::new(attr, value.clone()),
+                    old,
+                    new,
+                })
+            })
+            .collect()
+    }
+
+    /// Warm-reprice under `changed` footprint prices (all finite → finite,
+    /// none transformed).
+    fn reprice(
+        &mut self,
+        pricer: &Pricer,
+        changed: &[Change],
+        stats: &mut PlanStats,
+    ) -> Result<Quote, PricingError> {
+        let prices = pricer.prices();
+        let mut best = Price::INFINITE;
+        let mut best_views: Vec<SelectionView> = Vec::new();
+        for branch in &mut self.branches {
+            let patches: Vec<(EdgeId, u64)> = changed
+                .iter()
+                .filter_map(|c| {
+                    branch
+                        .edge_of_original
+                        .get(&c.view)
+                        .map(|&e| (e, c.new.as_capacity()))
+                })
+                .collect();
+            if !patches.is_empty() {
+                let out = with_arena(|a| {
+                    a.warm_start(
+                        &mut branch.graph,
+                        branch.s,
+                        branch.t,
+                        &mut branch.state,
+                        &patches,
+                        &Unmetered,
+                    )
+                })
+                .map_err(|_| PricingError::Internal("unmetered warm start interrupted".into()))?;
+                if out.fell_back {
+                    stats.flow_fallback();
                 }
             }
+            // Base cost re-summed from the recorded cover views: equal to
+            // the cold pipeline's accumulated cover prices because every
+            // recorded view maps through identity or shifted-identity
+            // provenance at an unchanged-structure price (Step 2 merges
+            // were ruled out by the transformed-attr eviction).
+            let base_cost = branch
+                .base_views
+                .iter()
+                .fold(Price::ZERO, |acc, v| acc.saturating_add(prices.get(v)));
+            branch.offer(base_cost, &mut best, &mut best_views);
         }
-        changed
+        let quote = chain_flow_quote(best, best_views, self.quote.class.clone());
+        // audit: bounded(one pass over the changes the diff found)
+        for c in changed {
+            if let Some(p) = self.prices.get_mut(c.at) {
+                *p = c.new;
+            }
+        }
+        self.quote = quote.clone();
+        Ok(quote)
+    }
+}
+
+impl CachedBranch {
+    /// Offer this branch's total (`base_cost` plus its solved cut) to the
+    /// running branch minimum — the cold path's assembly rule.
+    fn offer(&self, base_cost: Price, best: &mut Price, best_views: &mut Vec<SelectionView>) {
+        let price = Price::from_cut_value(self.state.value());
+        let total = base_cost.saturating_add(price);
+        if total < *best {
+            *best = total;
+            *best_views = self.base_views.clone();
+            if price.is_finite() {
+                let cut = self.state.min_cut_edges(&self.graph, self.s);
+                let mut originals: Vec<SelectionView> = cut
+                    .iter()
+                    .filter_map(|e| self.view_edges.get(e))
+                    .flat_map(|v| self.provenance.resolve(v))
+                    .collect();
+                originals.sort();
+                originals.dedup();
+                best_views.extend(originals);
+            }
+        }
+    }
+}
+
+/// An exact chain-flow quote from the branch minimum.
+fn chain_flow_quote(price: Price, mut views: Vec<SelectionView>, class: QueryClass) -> Quote {
+    views.sort();
+    views.dedup();
+    Quote {
+        price,
+        views,
+        method: PricingMethod::ChainFlow,
+        class,
+        quality: QuoteQuality::Exact,
+        lower_bound: price,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::price_points::PriceList;
     use qbdp_catalog::{tuple, CatalogBuilder, Column, Value};
     use qbdp_query::parser::parse_rule;
 
@@ -613,6 +679,10 @@ mod tests {
         Pricer::new(cat, d, prices).unwrap()
     }
 
+    fn entries(plan: &PlanCache) -> usize {
+        plan.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
     fn assert_quotes_equal(a: &Quote, b: &Quote) {
         assert_eq!(a.price, b.price);
         assert_eq!(a.views, b.views);
@@ -639,7 +709,7 @@ mod tests {
     fn cached_quote_matches_cold_and_hits() {
         let p = figure1_pricer();
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
-        let mut plan = PlanCache::new();
+        let plan = PlanCache::new();
         let cold = p.price_cq(&q).unwrap();
         let warm1 = plan.quote(&p, &q).unwrap();
         let warm2 = plan.quote(&p, &q).unwrap();
@@ -647,14 +717,14 @@ mod tests {
         assert_quotes_equal(&cold, &warm2);
         assert_eq!(plan.stats().misses, 1);
         assert_eq!(plan.stats().hits, 1);
-        assert_eq!(plan.len(), 1);
+        assert_eq!(entries(&plan), 1);
     }
 
     #[test]
     fn price_change_warm_reprices_to_cold_answer() {
         let mut p = figure1_pricer();
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
-        let mut plan = PlanCache::new();
+        let plan = PlanCache::new();
         plan.quote(&p, &q).unwrap();
         // Raise one R.X view: the cut should route around it.
         let rx = p.catalog().schema().resolve_attr("R.X").unwrap();
@@ -684,7 +754,7 @@ mod tests {
         let prices = PriceList::uniform(&cat, Price::dollars(2));
         let mut p = Pricer::new(cat, d, prices).unwrap();
         let q = parse_rule(p.catalog().schema(), "Q(x) :- R(x, x)").unwrap();
-        let mut plan = PlanCache::new();
+        let plan = PlanCache::new();
         plan.quote(&p, &q).unwrap();
         // Drop the price of the "loser" position below the winner: the min
         // flips, which only an eviction can observe.
@@ -703,7 +773,7 @@ mod tests {
     fn infinite_transitions_evict() {
         let mut p = figure1_pricer();
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
-        let mut plan = PlanCache::new();
+        let plan = PlanCache::new();
         plan.quote(&p, &q).unwrap();
         // Unprice a view: finite → ∞ must evict, and the rebuilt entry
         // must agree with cold.
@@ -721,11 +791,11 @@ mod tests {
     fn insert_invalidates_mentioning_entries() {
         let mut p = figure1_pricer();
         let q = parse_rule(p.catalog().schema(), "Q(x, y) :- R(x), S(x, y), T(y)").unwrap();
-        let mut plan = PlanCache::new();
+        let plan = PlanCache::new();
         plan.quote(&p, &q).unwrap();
         let r = p.catalog().schema().rel_id("R").unwrap();
         plan.invalidate_rels(&[r]);
-        assert!(plan.is_empty());
+        assert_eq!(entries(&plan), 0);
         p.insert(r, [tuple!["a3"]]).unwrap();
         let warm = plan.quote(&p, &q).unwrap();
         let cold = p.price_cq(&q).unwrap();
@@ -753,7 +823,7 @@ mod tests {
         let prices = PriceList::uniform(&cat, Price::dollars(1));
         let mut p = Pricer::new(cat, d, prices).unwrap();
         let q = parse_rule(p.catalog().schema(), "Q(x, y, z) :- R(x, y), S(y, z), T(z)").unwrap();
-        let mut plan = PlanCache::new();
+        let plan = PlanCache::new();
         plan.quote(&p, &q).unwrap();
         let rx = p.catalog().schema().resolve_attr("R.X").unwrap();
         for cents in [40u64, 250, 700] {
@@ -771,12 +841,12 @@ mod tests {
     #[test]
     fn uncacheable_classes_delegate() {
         let p = figure1_pricer();
-        let mut plan = PlanCache::new();
+        let plan = PlanCache::new();
         // Boolean query: bypasses the cache entirely.
         let q = parse_rule(p.catalog().schema(), "B() :- R(x), S(x, y), T(y)").unwrap();
         let warm = plan.quote(&p, &q).unwrap();
         let cold = p.price_cq(&q).unwrap();
         assert_quotes_equal(&cold, &warm);
-        assert!(plan.is_empty());
+        assert_eq!(entries(&plan), 0);
     }
 }

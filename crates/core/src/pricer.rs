@@ -170,6 +170,14 @@ fn note_exhaustion(ctr: qbdp_obs::Ctr, quality: QuoteQuality) {
     }
 }
 
+/// Classify `q` (Theorem 3.16) under a `classify` trace span.
+pub(crate) fn classify_traced(q: &ConjunctiveQuery) -> QueryClass {
+    let mut span = qbdp_obs::trace::span("classify");
+    let class = classify(q);
+    span.detail(class_label(&class));
+    class
+}
+
 /// Static label for a dichotomy class, for trace-span details.
 fn class_label(class: &QueryClass) -> &'static str {
     match class {
@@ -181,37 +189,12 @@ fn class_label(class: &QueryClass) -> &'static str {
     }
 }
 
-/// Engine configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct PricerConfig {
-    /// Tuple-edge mode for the flow reduction.
-    pub tuple_mode: TupleEdgeMode,
-    /// Max-flow algorithm.
-    pub flow_algo: FlowAlgo,
-    /// Subset-search limits (exact engine).
-    pub subset: SubsetConfig,
-    /// Certificate-generation limits (exact engine).
-    pub certificates: CertificateConfig,
-}
-
-impl Default for PricerConfig {
-    fn default() -> Self {
-        PricerConfig {
-            tuple_mode: TupleEdgeMode::Hub,
-            flow_algo: FlowAlgo::Dinic,
-            subset: SubsetConfig::default(),
-            certificates: CertificateConfig::default(),
-        }
-    }
-}
-
 /// The pricing engine: a catalog, an instance, and a selection price list.
 #[derive(Clone, Debug)]
 pub struct Pricer {
     catalog: Catalog,
     instance: Instance,
     prices: PriceList,
-    config: PricerConfig,
 }
 
 impl Pricer {
@@ -229,14 +212,7 @@ impl Pricer {
             catalog,
             instance,
             prices,
-            config: PricerConfig::default(),
         })
-    }
-
-    /// Replace the engine configuration.
-    pub fn with_config(mut self, config: PricerConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// The catalog.
@@ -254,11 +230,6 @@ impl Pricer {
         &self.prices
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &PricerConfig {
-        &self.config
-    }
-
     /// Price a conjunctive query exactly, reusing `plan`'s cached
     /// normalized networks when the shape was priced before (see
     /// [`crate::plan_cache::PlanCache`]). Bit-identical to
@@ -266,7 +237,7 @@ impl Pricer {
     pub fn price_cq_with_plan(
         &self,
         q: &ConjunctiveQuery,
-        plan: &mut crate::plan_cache::PlanCache,
+        plan: &crate::plan_cache::PlanCache,
     ) -> Result<Quote, PricingError> {
         plan.quote(self, q)
     }
@@ -342,12 +313,16 @@ impl Pricer {
         budget: &Budget,
     ) -> Result<Quote, PricingError> {
         crate::fault::maybe_panic();
-        let class = {
-            let mut span = qbdp_obs::trace::span("classify");
-            let class = classify(q);
-            span.detail(class_label(&class));
-            class
-        };
+        self.price_classified(q, classify_traced(q), budget)
+    }
+
+    /// [`Pricer::price_cq_within`] for a query already classified.
+    pub(crate) fn price_classified(
+        &self,
+        q: &ConjunctiveQuery,
+        class: QueryClass,
+        budget: &Budget,
+    ) -> Result<Quote, PricingError> {
         let o = self.dispatch_within(q, &class, budget)?;
         let mut views = o.views;
         views.sort();
@@ -443,7 +418,7 @@ impl Pricer {
                         &self.instance,
                         &self.prices,
                         cqs,
-                        self.config.certificates,
+                        CertificateConfig::default(),
                         budget,
                     )?;
                     note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedCerts, r.quality);
@@ -458,7 +433,7 @@ impl Pricer {
                 &self.instance,
                 &self.prices,
                 bundle,
-                self.config.subset,
+                SubsetConfig::default(),
                 budget,
             )?;
             note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedSubset, r.quality);
@@ -565,7 +540,7 @@ impl Pricer {
                 );
                 let mut span = qbdp_obs::trace::span("hitting_set");
                 span.detail("cycle_certs");
-                let r = cycle_price_within(&problem, self.config.certificates, budget)?;
+                let r = cycle_price_within(&problem, CertificateConfig::default(), budget)?;
                 note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedCerts, r.quality);
                 Ok(Outcome::from_result(r, PricingMethod::CycleCertificates))
             }
@@ -581,7 +556,7 @@ impl Pricer {
                         &self.instance,
                         &self.prices,
                         q,
-                        self.config.certificates,
+                        CertificateConfig::default(),
                         budget,
                     )?;
                     note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedCerts, r.quality);
@@ -594,7 +569,7 @@ impl Pricer {
                     &self.instance,
                     &self.prices,
                     &Bundle::from(q.clone()),
-                    self.config.subset,
+                    SubsetConfig::default(),
                     budget,
                 )?;
                 note_exhaustion(qbdp_obs::Ctr::BudgetExhaustedSubset, r.quality);
@@ -629,7 +604,7 @@ impl Pricer {
                 &self.instance,
                 &self.prices,
                 &full,
-                self.config.certificates,
+                CertificateConfig::default(),
                 budget,
             )?;
             let method = PricingMethod::BooleanEmpty(Box::new(PricingMethod::ExactCertificates));
@@ -700,12 +675,8 @@ impl Pricer {
         for branch in branches {
             let mut flow_span = qbdp_obs::trace::span("flow_solve");
             let fuel_before = budget.consumed_fuel();
-            let metered = chain_price_within(
-                &branch.problem,
-                self.config.tuple_mode,
-                self.config.flow_algo,
-                budget,
-            )?;
+            let metered =
+                chain_price_within(&branch.problem, TupleEdgeMode::Hub, FlowAlgo::Dinic, budget)?;
             flow_span.fuel(budget.consumed_fuel().saturating_sub(fuel_before));
             flow_span.detail(match &metered {
                 Metered::Done(_) => "done",

@@ -223,6 +223,7 @@ impl ShardedQuoteCache {
     /// one (pre-crash cache entries died with the process; none can
     /// survive to here).
     // audit: holds-lock(cache-shard)
+    // audit: allow(R7: `clear` here is the shard map's — a name collision with `PlanCache::clear`, no plan lock behind it)
     pub(crate) fn reset(&self) {
         self.generation.store(0, Ordering::SeqCst);
         for e in self.columns.values() {

@@ -45,8 +45,8 @@ use qbdp_core::{
     query_footprint, Budget, PlanCache, PlanStats, Price, Pricer, PricingMethod, QuoteQuality,
 };
 use qbdp_determinacy::selection::SelectionView;
-use qbdp_query::ast::{ConjunctiveQuery, Ucq};
-use qbdp_query::bundle::Bundle;
+use qbdp_obs::flight::Why;
+use qbdp_query::ast::ConjunctiveQuery;
 use qbdp_query::parser::parse_rule;
 use qbdp_query::pretty;
 use qbdp_store::{MarketEvent, StoreError, Wal};
@@ -54,6 +54,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Per-market resource policy, applied to every pricing call.
+///
+/// The policy also picks the pricing engine: with neither `fuel` nor
+/// `deadline` set, every quote, purchase and explanation prices through
+/// the market's plan cache (a repeated query shape is a hit or a
+/// residual warm start, bit-identical to a cold price); with either set,
+/// pricing runs cold under the budget, so a degraded `[lower, upper]`
+/// interval is always the cold engine's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MarketPolicy {
     /// Wall-clock deadline per quote; `None` = unlimited.
@@ -71,21 +78,11 @@ pub struct MarketPolicy {
     /// Worker threads used by [`Market::quote_batch`]; `0` means one per
     /// available core.
     pub batch_workers: usize,
-    /// Serve serial quotes through the incremental pricing engine (the
-    /// shape-keyed [`PlanCache`]): a repeated query shape under a changed
-    /// price vector is repriced by a residual warm start instead of a
-    /// cold solve, with bit-identical results. Only unlimited-budget
-    /// quotes go through the plan cache (a fuel or deadline policy prices
-    /// cold, so degraded `[lower, upper]` intervals are unaffected by
-    /// this flag). An in-process serving knob: it is not persisted by the
-    /// durable market, and recovery resets it to `false`.
-    pub incremental: bool,
     /// Turn on the process-wide telemetry pipeline (`qbdp-obs`): metric
     /// recording, per-quote trace spans, and the degraded-quote flight
-    /// recorder. Off, every probe is a single relaxed atomic load. Like
-    /// [`MarketPolicy::incremental`] this is an in-process serving knob:
-    /// it is not persisted by the durable market, and recovery resets it
-    /// to `false`.
+    /// recorder. Off, every probe is a single relaxed atomic load. An
+    /// in-process serving knob: it is not persisted by the durable
+    /// market, and recovery resets it to `false`.
     pub telemetry: bool,
 }
 
@@ -97,7 +94,6 @@ impl Default for MarketPolicy {
             sell_degraded: false,
             max_in_flight: usize::MAX,
             batch_workers: 0,
-            incremental: false,
             telemetry: false,
         }
     }
@@ -141,13 +137,8 @@ impl MarketPolicy {
             sell_degraded: *sell_degraded,
             max_in_flight: *max_in_flight as usize,
             batch_workers: *batch_workers as usize,
-            // In-process serving knobs, deliberately not persisted: a
-            // recovered market prices cold until the operator re-enables
-            // the incremental engine (its plan cache died with the process
-            // anyway, so there is nothing warm to preserve), and telemetry
-            // is an operator decision about *this* process, not market
-            // state.
-            incremental: false,
+            // Deliberately not persisted: telemetry is an operator
+            // decision about *this* process, not market state.
             telemetry: false,
         })
     }
@@ -155,7 +146,7 @@ impl MarketPolicy {
 
 impl From<MarketPolicy> for MarketEvent {
     /// The persisted part of a policy: everything but the in-process
-    /// knobs `incremental` and `telemetry`.
+    /// knob `telemetry`.
     fn from(p: MarketPolicy) -> MarketEvent {
         MarketEvent::PolicyChange {
             deadline_ms: p.deadline.map(|d| d.as_millis() as u64),
@@ -239,13 +230,14 @@ pub struct Market {
     /// cached — a degraded quote is an artifact of one budget run, not
     /// of the data.
     cache: ShardedQuoteCache,
-    /// The incremental pricing engine: shape-keyed normalized plans plus
-    /// solved flow networks, repriced by residual warm starts
-    /// ([`MarketPolicy::incremental`]). Guarded by its own mutex, locked
-    /// *after* the state lock (never the other way around); pricing
-    /// through it happens while the caller holds the state read lock, so
-    /// the plans it patches always describe the live catalog/instance.
-    plan: Mutex<PlanCache>,
+    /// The pricing engine of every unlimited-budget quote: shape-keyed
+    /// normalized plans plus solved flow networks, repriced by residual
+    /// warm starts. Its per-shape shard locks (audit name `plan`) are
+    /// taken *after* the state lock (never the other way around);
+    /// pricing through it happens while the caller holds the state read
+    /// lock, so the plans it patches always describe the live
+    /// catalog/instance.
+    plan: PlanCache,
     in_flight: AtomicUsize,
 }
 
@@ -290,66 +282,48 @@ where
     }
 }
 
-/// Telemetry epilogue for the serial serving paths: close the trace,
-/// record the latency histogram and outcome counters, and hand the span
-/// tree to the flight recorder when the request went wrong (degraded,
-/// refused-degraded, panicked, contended) or crossed the slow threshold.
-/// Free when telemetry is off: the stopwatch never read the clock and
-/// the trace was never begun.
-fn observe_served(
+/// Outcome telemetry for one served request (a quote batch slot or a
+/// purchase), `us` microseconds in: count it as `served`, and hand the
+/// thread's span tree to the flight recorder when it went wrong
+/// (degraded, refused-degraded, panicked, contended). Only a caller that
+/// began a trace on this thread (`quote_str`, `purchase_str`) has spans
+/// to hand over; a capture ends that trace.
+fn observe_outcome(
     query: &str,
-    sw: qbdp_obs::Stopwatch,
-    hist: qbdp_obs::Hst,
+    us: u64,
     served: qbdp_obs::Ctr,
-    quote: Option<&MarketQuote>,
-    err: Option<&MarketError>,
+    outcome: Result<&MarketQuote, &MarketError>,
 ) {
-    use qbdp_obs::flight::{self, Why};
-    let spans = qbdp_obs::trace::finish();
-    let Some(us) = sw.stop(hist) else { return };
-    match (quote, err) {
-        (Some(q), _) => {
+    let (why, detail) = match outcome {
+        Ok(q) => {
             qbdp_obs::record(served, 1);
-            if !q.quality.is_exact() {
-                qbdp_obs::record(qbdp_obs::Ctr::MarketQuotesDegraded, 1);
-                flight::capture(
-                    Why::Degraded,
-                    query,
-                    us,
-                    format!(
-                        "sold upper bound; true price in [{}, {}]",
-                        q.lower_bound, q.price
-                    ),
-                    spans,
-                );
-            } else if us >= flight::slow_threshold_us() {
-                flight::capture(Why::Slow, query, us, String::new(), spans);
+            if q.quality.is_exact() {
+                return;
             }
-        }
-        (None, Some(MarketError::Internal(msg))) => {
-            flight::capture(Why::Panicked, query, us, msg.clone(), spans);
-        }
-        (None, Some(MarketError::DeadlineExceeded)) => {
             qbdp_obs::record(qbdp_obs::Ctr::MarketQuotesDegraded, 1);
-            flight::capture(
+            (
                 Why::Degraded,
-                query,
-                us,
+                format!(
+                    "sold upper bound; true price in [{}, {}]",
+                    q.lower_bound, q.price
+                ),
+            )
+        }
+        Err(MarketError::Internal(msg)) => (Why::Panicked, msg.clone()),
+        Err(MarketError::DeadlineExceeded) => {
+            qbdp_obs::record(qbdp_obs::Ctr::MarketQuotesDegraded, 1);
+            (
+                Why::Degraded,
                 "refused: budget exhausted and sell_degraded is off".to_string(),
-                spans,
-            );
+            )
         }
-        (None, Some(MarketError::Contended)) => {
-            flight::capture(
-                Why::Contended,
-                query,
-                us,
-                format!("{PURCHASE_RETRIES} revalidation retries exhausted"),
-                spans,
-            );
-        }
-        _ => {}
-    }
+        Err(MarketError::Contended) => (
+            Why::Contended,
+            format!("{PURCHASE_RETRIES} revalidation retries exhausted"),
+        ),
+        Err(_) => return,
+    };
+    qbdp_obs::flight::capture(why, query, us, detail, qbdp_obs::trace::finish());
 }
 
 impl Market {
@@ -381,7 +355,7 @@ impl Market {
                 policy: MarketPolicy::default(),
             }),
             cache: ShardedQuoteCache::new(columns),
-            plan: Mutex::new(PlanCache::new()),
+            plan: PlanCache::new(),
             in_flight: AtomicUsize::new(0),
         })
     }
@@ -460,8 +434,7 @@ impl Market {
     }
 
     /// Replace the market's resource policy. Journaled like every
-    /// mutation, minus the in-process knobs `incremental` and
-    /// `telemetry`.
+    /// mutation, minus the in-process knob `telemetry`.
     // audit: holds-lock(wal)
     pub fn set_policy(&self, policy: MarketPolicy) -> Result<(), MarketError> {
         self.ensure_writable()?;
@@ -521,60 +494,30 @@ impl Market {
     }
 
     /// Quote a query given in datalog syntax
-    /// (`"Q(x, y) :- R(x), S(x, y)"`). Exact quotes are cached until the
-    /// next data update.
-    // audit: holds-lock(state)
+    /// (`"Q(x, y) :- R(x), S(x, y)"`): a [`Market::quote_batch`] of one,
+    /// which prices inline on this thread, under a trace of its own and
+    /// timed into the quote-latency histogram. Exact quotes are cached
+    /// until the next update touching their columns.
     pub fn quote_str(&self, query: &str) -> Result<MarketQuote, MarketError> {
         let sw = qbdp_obs::Stopwatch::start();
         if qbdp_obs::enabled() {
             qbdp_obs::trace::begin();
         }
-        let out = self.quote_str_inner(query);
-        observe_served(
-            query,
-            sw,
-            qbdp_obs::Hst::QuoteLatencyUs,
-            qbdp_obs::Ctr::MarketQuotes,
-            out.as_ref().ok(),
-            out.as_ref().err(),
-        );
+        let out = self.quote_batch(&[query]).pop().unwrap_or_else(|| {
+            Err(MarketError::Internal(
+                "a batch of one returned no slot".into(),
+            ))
+        });
+        qbdp_obs::trace::finish();
+        sw.stop(qbdp_obs::Hst::QuoteLatencyUs);
         out
     }
 
-    /// The uninstrumented body of [`Market::quote_str`].
-    // audit: holds-lock(state)
-    fn quote_str_inner(&self, query: &str) -> Result<MarketQuote, MarketError> {
-        let state = self.state.read();
-        let _slot = self.admit(state.policy.max_in_flight)?;
-        let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let key = pretty::render(&q, state.pricer.catalog().schema());
-        let hit = {
-            let mut span = qbdp_obs::trace::span("cache_lookup");
-            let hit = self.cache.get(&key);
-            span.detail(if hit.is_some() { "hit" } else { "miss" });
-            hit
-        };
-        if let Some(hit) = hit {
-            return Ok(hit);
-        }
-        // Compute the footprint stamp *under the read lock*: it names
-        // exactly the data snapshot this quote is derived from, and the
-        // cache will discard the insert if an update touching one of the
-        // footprint's columns lands in between (caching it then would
-        // serve stale prices until the *next* touching update).
-        let footprint = query_footprint(state.pricer.catalog(), &q);
-        let stamp = self.cache.stamp(&footprint);
-        let quote = self.quote_inner(&state, &q)?;
-        drop(state);
-        if quote.quality.is_exact() {
-            self.cache.insert(key, quote.clone(), footprint, stamp);
-        }
-        Ok(quote)
-    }
-
-    /// Quote a batch of datalog-syntax queries in one call, pricing cache
-    /// misses in parallel on a scoped worker pool
-    /// ([`MarketPolicy::batch_workers`] threads; `0` = one per core).
+    /// Quote a batch of datalog-syntax queries in one call — the one
+    /// quote path. Cache misses are priced on a scoped worker pool
+    /// ([`MarketPolicy::batch_workers`] threads; `0` = one per core; a
+    /// single miss prices inline on the caller's thread), each through
+    /// the market's one pricing call (see [`MarketPolicy`]).
     ///
     /// Results are positionally aligned with `queries`; each slot fails
     /// independently (a parse error or contained engine panic poisons
@@ -584,9 +527,23 @@ impl Market {
     /// market refuses every slot with [`MarketError::Overloaded`]. Each
     /// job gets the policy's per-quote fuel; the wall-clock deadline is
     /// shared across the batch. Exact quotes (cache hits and fresh ones)
-    /// are served from / fill the sharded cache.
-    // audit: holds-lock(state)
+    /// are served from / fill the sharded cache. With telemetry on,
+    /// every slot is counted and a degraded, refused or panicked slot
+    /// lands in the flight recorder.
     pub fn quote_batch(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
+        let sw = qbdp_obs::Stopwatch::start();
+        let out = self.quote_slots(queries);
+        if let Some(us) = sw.elapsed_us() {
+            for (query, slot) in queries.iter().zip(&out) {
+                observe_outcome(query, us, qbdp_obs::Ctr::MarketQuotes, slot.as_ref());
+            }
+        }
+        out
+    }
+
+    /// The uninstrumented body of [`Market::quote_batch`].
+    // audit: holds-lock(state)
+    fn quote_slots(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
         if queries.is_empty() {
             return Vec::new();
         }
@@ -603,17 +560,23 @@ impl Market {
         slots.resize_with(queries.len(), || None);
         // Parse every query and serve what the cache already has. Each
         // slot carries its *own* footprint stamp, computed at its own
-        // lookup under the state read lock — one whole-batch stamp would
-        // be wrong at both granularities (different queries have
-        // different footprints, and a single load taken before the loop
-        // could tag a late slot with an epoch older than the lookup that
-        // missed for it).
+        // lookup under the state read lock: it names exactly the data
+        // snapshot the quote is derived from, and the cache discards the
+        // insert if an update touching one of the footprint's columns
+        // lands in between. One whole-batch stamp would be wrong at both
+        // granularities (different queries have different footprints,
+        // and a single load taken before the loop could tag a late slot
+        // with an epoch older than the lookup that missed for it).
         let mut misses: Vec<(usize, String, ConjunctiveQuery, Vec<AttrRef>, u64)> = Vec::new();
         for (i, text) in queries.iter().enumerate() {
             match parse_rule(schema, text) {
                 Ok(q) => {
                     let key = pretty::render(&q, schema);
-                    match self.cache.get(&key) {
+                    let mut span = qbdp_obs::trace::span("cache_lookup");
+                    let hit = self.cache.get(&key);
+                    span.detail(if hit.is_some() { "hit" } else { "miss" });
+                    drop(span);
+                    match hit {
                         Some(hit) => slots[i] = Some(Ok(hit)),
                         None => {
                             let footprint = query_footprint(state.pricer.catalog(), &q);
@@ -625,45 +588,21 @@ impl Market {
                 Err(e) => slots[i] = Some(Err(e.into())),
             }
         }
-        // Fan the misses over the worker pool. Panic containment is per
-        // job inside the pool, so `contain_panic` is not needed here.
         if !misses.is_empty() {
             let budget = state.policy.budget_for(misses.len() as u64);
-            let workers = match state.policy.batch_workers {
-                0 => qbdp_core::batch::default_workers(),
-                n => n,
-            };
-            let bundles: Vec<Bundle> = misses
-                .iter()
-                .map(|(_, _, q, _, _)| Bundle::single(Ucq::single(q.clone())))
-                .collect();
-            let priced = state
-                .pricer
-                .price_batch_with_workers(&bundles, &budget, workers);
-            for ((i, key, q, footprint, stamp), result) in misses.into_iter().zip(priced) {
-                let finished = result
-                    .map_err(|e| match e {
-                        // The pool contains per-job panics as
-                        // `PricingError::Internal`; surface them the same
-                        // way `contain_panic` does on the serial path.
-                        qbdp_core::PricingError::Internal(m) => MarketError::Internal(m),
-                        other => MarketError::Pricing(other),
-                    })
-                    .and_then(|quote| Self::finish_quote(&state, &q, quote));
-                if let Ok(mq) = &finished {
+            let workers = state.policy.batch_workers;
+            let st: &State = &state;
+            let priced = qbdp_core::batch::run_batch(&misses, &budget, workers, |miss, sub| {
+                let (_, _, q, _, _) = miss;
+                Self::finish_quote(st, q, self.price_query(st, q, sub)?)
+            });
+            for ((i, key, _, footprint, stamp), result) in misses.into_iter().zip(priced) {
+                if let Ok(mq) = &result {
                     if mq.quality.is_exact() {
                         self.cache.insert(key, mq.clone(), footprint, stamp);
                     }
                 }
-                slots[i] = Some(finished);
-            }
-        }
-        if qbdp_obs::enabled() {
-            for q in slots.iter().flatten().flatten() {
-                qbdp_obs::record(qbdp_obs::Ctr::MarketQuotes, 1);
-                if !q.quality.is_exact() {
-                    qbdp_obs::record(qbdp_obs::Ctr::MarketQuotesDegraded, 1);
-                }
+                slots[i] = Some(result);
             }
         }
         slots
@@ -678,38 +617,32 @@ impl Market {
             .collect()
     }
 
-    /// Quote a parsed query (uncached path).
-    // audit: holds-lock(state)
-    pub fn quote(&self, q: &ConjunctiveQuery) -> Result<MarketQuote, MarketError> {
-        let state = self.state.read();
-        let _slot = self.admit(state.policy.max_in_flight)?;
-        self.quote_inner(&state, q)
-    }
-
-    /// Price one query under the current policy. The incremental path
-    /// (plan cache + warm start) serves only unlimited-budget quotes:
-    /// under a fuel or deadline policy every quote is priced cold, so
-    /// degraded `[lower, upper]` intervals come from exactly the same
-    /// computation whether `incremental` is set or not.
-    // audit: holds-lock(plan)
-    fn quote_inner(&self, state: &State, q: &ConjunctiveQuery) -> Result<MarketQuote, MarketError> {
+    /// The market's one pricing call, shared by quotes, purchases and
+    /// explanations: the plan cache when the policy sets no fuel and no
+    /// deadline, cold [`Pricer::price_cq_within`] under `budget`
+    /// otherwise — so degraded `[lower, upper]` intervals always come
+    /// from the cold engine. Panics are contained.
+    fn price_query(
+        &self,
+        state: &State,
+        q: &ConjunctiveQuery,
+        budget: &Budget,
+    ) -> Result<qbdp_core::Quote, MarketError> {
         let policy = state.policy;
-        let quote = if policy.incremental && policy.fuel.is_none() && policy.deadline.is_none() {
-            let mut plan = self.plan.lock();
-            // A panic mid-reprice is contained: `PlanCache::quote` takes
-            // the entry out of the map before mutating it, so the
-            // poisonable state unwinds away with the panic.
-            contain_panic(|| state.pricer.price_cq_with_plan(q, &mut plan))?
-        } else {
-            let budget = policy.budget();
-            contain_panic(|| state.pricer.price_cq_within(q, &budget))?
-        };
-        Self::finish_quote(state, q, quote)
+        contain_panic(|| {
+            if policy.fuel.is_none() && policy.deadline.is_none() {
+                // A panic mid-reprice is contained: `PlanCache::quote`
+                // takes the entry out of its shard before mutating it, so
+                // the poisonable state unwinds away with the panic.
+                state.pricer.price_cq_with_plan(q, &self.plan)
+            } else {
+                state.pricer.price_cq_within(q, budget)
+            }
+        })
     }
 
     /// Apply market policy to a raw engine quote and dress it up for the
-    /// buyer (shared by the serial and batch paths, so a batched quote is
-    /// indistinguishable from a serial one).
+    /// buyer (shared by quotes and purchases).
     fn finish_quote(
         state: &State,
         q: &ConjunctiveQuery,
@@ -759,14 +692,17 @@ impl Market {
             qbdp_obs::trace::begin();
         }
         let out = self.purchase_journaled(query);
-        observe_served(
-            query,
-            sw,
-            qbdp_obs::Hst::PurchaseLatencyUs,
-            qbdp_obs::Ctr::MarketPurchases,
-            out.as_ref().ok().map(|p| &p.quote),
-            out.as_ref().err(),
-        );
+        let outcome = out.as_ref().map(|p| &p.quote);
+        if let Some(us) = sw.stop(qbdp_obs::Hst::PurchaseLatencyUs) {
+            observe_outcome(query, us, qbdp_obs::Ctr::MarketPurchases, outcome);
+            if outcome.is_ok_and(|q| q.quality.is_exact())
+                && us >= qbdp_obs::flight::slow_threshold_us()
+            {
+                let spans = qbdp_obs::trace::finish();
+                qbdp_obs::flight::capture(Why::Slow, query, us, String::new(), spans);
+            }
+        }
+        qbdp_obs::trace::finish();
         out
     }
 
@@ -820,7 +756,8 @@ impl Market {
         let state = self.state.read();
         let _slot = self.admit(state.policy.max_in_flight)?;
         let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let quote = self.quote_inner(&state, &q)?;
+        let quote = self.price_query(&state, &q, &state.policy.budget())?;
+        let quote = Self::finish_quote(&state, &q, quote)?;
         // Evaluation runs the same buyer-controlled query the pricing
         // engine just priced; a panic here must not unwind through the
         // serving thread any more than a pricing panic may (the quote
@@ -886,7 +823,7 @@ impl Market {
         let arity = state.pricer.catalog().schema().relation(rel).arity();
         let touched: Vec<AttrRef> = (0..arity).map(|i| AttrRef::new(rel, i as u32)).collect();
         self.cache.invalidate_columns(&touched);
-        self.plan.lock().invalidate_rels(&[rel]);
+        self.plan.invalidate_rels(&[rel]);
         state.ledger.record_update(relation.to_string(), added);
         Ok(added)
     }
@@ -906,21 +843,22 @@ impl Market {
         self.cache.epoch()
     }
 
-    /// Counters from the incremental pricing engine: plan-cache hits,
-    /// misses, warm reprices, flow fallbacks, and evictions. All zero
-    /// unless [`MarketPolicy::incremental`] is set.
-    // audit: holds-lock(plan)
+    /// Counters from the plan cache: hits, misses, warm reprices, flow
+    /// fallbacks, and evictions. Every unlimited-budget quote or
+    /// purchase of a chain query that misses the quote cache moves one
+    /// of them; under a fuel or deadline policy they stay still, because
+    /// budgeted quotes price cold.
     pub fn plan_stats(&self) -> PlanStats {
-        self.plan.lock().stats()
+        self.plan.stats()
     }
 
     /// Clear the quote and plan caches and rewind every epoch to 0
     /// (recovery epilogue). Plans are rebuilt lazily from the recovered
-    /// catalog/instance on the first incremental quote of each shape.
-    // audit: holds-lock(plan)
+    /// catalog/instance on the first unlimited-budget quote of each
+    /// shape.
     pub(crate) fn reset_cache(&self) {
         self.cache.reset();
-        self.plan.lock().clear();
+        self.plan.clear();
     }
 
     /// Record a sale whose terms are already known (live, after the
@@ -976,8 +914,7 @@ impl Market {
         let state = self.state.read();
         let _slot = self.admit(state.policy.max_in_flight)?;
         let q = parse_rule(state.pricer.catalog().schema(), query)?;
-        let budget = state.policy.budget();
-        let quote = contain_panic(|| state.pricer.price_cq_within(&q, &budget))?;
+        let quote = self.price_query(&state, &q, &state.policy.budget())?;
         Ok(quote.explain(state.pricer.catalog(), state.pricer.prices()))
     }
 

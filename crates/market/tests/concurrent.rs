@@ -8,8 +8,9 @@ use crossbeam::thread;
 use proptest::prelude::*;
 use qbdp_catalog::{tuple, Tuple, Value};
 use qbdp_core::Price;
-use qbdp_market::Market;
+use qbdp_market::{Market, MarketPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 const QDP: &str = r#"
 schema R(X)
@@ -246,9 +247,10 @@ fn eight_thread_batch_purchase_insert_mix() {
 ///   final price list for every query — `set_price(R.X=…)` must have
 ///   invalidated every cached quote whose footprint touches `R.X`, and
 ///   must *not* be allowed to hide behind quotes over disjoint columns;
-/// * with `incremental` set, the warm-started quotes additionally match,
-///   field for field, a cold market reopened from the same snapshot.
-fn price_update_storm(writers: usize, incremental: bool) {
+/// * the quotes the storm left behind (served through the plan cache's
+///   warm starts) match, field for field, a market reopened from the
+///   same snapshot whose far-off deadline makes it price cold.
+fn price_update_storm(writers: usize) {
     let market = Market::open_qdp(QDP).unwrap();
     // Some data so join prices exercise the real min-cut, not empty nets.
     for i in 0..6i64 {
@@ -257,11 +259,6 @@ fn price_update_storm(writers: usize, incremental: bool) {
         market
             .insert("T", [Tuple::new([Value::Int((i + 1) % 6)])])
             .unwrap();
-    }
-    if incremental {
-        let mut policy = market.policy();
-        policy.incremental = true;
-        market.set_policy(policy).unwrap();
     }
     let quoters = 8 - writers;
 
@@ -305,48 +302,50 @@ fn price_update_storm(writers: usize, incremental: bool) {
         );
     }
 
-    if incremental {
-        // A cold market rebuilt from the same snapshot must agree on every
-        // field of every quote — the warm-start path is not allowed to
-        // drift in receipts, method, class, quality, or bounds either.
-        let cold = Market::open_qdp(&market.to_qdp()).unwrap();
-        for query in MIX_QUERIES {
-            let warm = market.quote_str(query).unwrap();
-            let reference = cold.quote_str(query).unwrap();
-            assert_eq!(warm.price, reference.price, "price drift for `{query}`");
-            assert_eq!(warm.lower_bound, reference.lower_bound);
-            assert_eq!(warm.receipt, reference.receipt);
-            assert_eq!(warm.views, reference.views);
-            assert_eq!(warm.method, reference.method);
-            assert_eq!(warm.class, reference.class);
-            assert_eq!(warm.quality, reference.quality);
-            assert_eq!(warm.query, reference.query);
-        }
+    // A cold market rebuilt from the same snapshot must agree on every
+    // field of every quote — the warm-start path is not allowed to drift
+    // in receipts, method, class, quality, or bounds either.
+    let cold = Market::open_qdp(&market.to_qdp()).unwrap();
+    cold.set_policy(MarketPolicy {
+        deadline: Some(Duration::from_secs(3600)),
+        ..MarketPolicy::default()
+    })
+    .unwrap();
+    for query in MIX_QUERIES {
+        let warm = market.quote_str(query).unwrap();
+        let reference = cold.quote_str(query).unwrap();
+        assert_eq!(warm.price, reference.price, "price drift for `{query}`");
+        assert_eq!(warm.lower_bound, reference.lower_bound);
+        assert_eq!(warm.receipt, reference.receipt);
+        assert_eq!(warm.views, reference.views);
+        assert_eq!(warm.method, reference.method);
+        assert_eq!(warm.class, reference.class);
+        assert_eq!(warm.quality, reference.quality);
+        assert_eq!(warm.query, reference.query);
     }
+    let stats = market.plan_stats();
+    assert!(
+        stats.misses + stats.warm_reprices > 0,
+        "the storm never priced through the plan cache: {stats:?}"
+    );
+    let cold_stats = cold.plan_stats();
+    assert_eq!(
+        cold_stats.hits + cold_stats.misses + cold_stats.warm_reprices,
+        0,
+        "the cold reference used its plan cache: {cold_stats:?}"
+    );
 }
 
 /// 90/10 quote/setprice mix (7 quoters, 1 price writer).
 #[test]
 fn update_storm_90_10() {
-    price_update_storm(1, false);
+    price_update_storm(1);
 }
 
 /// 50/50 quote/setprice mix (4 quoters, 4 price writers).
 #[test]
 fn update_storm_50_50() {
-    price_update_storm(4, false);
-}
-
-/// 90/10 mix through the incremental (warm-start) pricing path.
-#[test]
-fn update_storm_90_10_incremental() {
-    price_update_storm(1, true);
-}
-
-/// 50/50 mix through the incremental (warm-start) pricing path.
-#[test]
-fn update_storm_50_50_incremental() {
-    price_update_storm(4, true);
+    price_update_storm(4);
 }
 
 proptest! {

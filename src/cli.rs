@@ -107,9 +107,6 @@ fn help_text() -> String {
      \x20 price --batch <file> [--threads N]\n\
      \x20                   price one rule per line in parallel (N workers;\n\
      \x20                   0 or omitted = one per core)\n\
-     \x20 price --incremental <rule>\n\
-     \x20                   price through the plan cache: repeated query\n\
-     \x20                   shapes reprice by residual warm start\n\
      \x20 price --trace <rule>\n\
      \x20                   quote with the pricing-pipeline span tree\n\
      \x20                   (cache lookup → plan → normalize → flow → \n\
@@ -165,9 +162,7 @@ fn quote<M: MarketOps>(market: &M, rule: &str) -> String {
 /// `price <rule>` is an alias for `quote`; `price --batch <file>
 /// [--threads N]` prices one rule per line of `file` on the market's
 /// parallel batch path (`--threads 0` or omitted = one worker per core);
-/// `price --incremental <rule>` enables the incremental pricing engine
-/// on the market's policy and quotes through the shape-keyed plan cache,
-/// reporting its hit/warm-reprice counters alongside the quote.
+/// `price --trace <rule>` quotes with the pipeline span tree appended.
 fn price_cmd<M: MarketOps>(market: &M, rest: &str) -> String {
     if let Some(rule) = rest.strip_prefix("--trace") {
         // Tracing needs the telemetry pipeline recording for this quote.
@@ -194,23 +189,6 @@ fn price_cmd<M: MarketOps>(market: &M, rest: &str) -> String {
                 qbdp_obs::trace::to_jsonl(&spans).trim_end()
             );
         }
-        return out;
-    }
-    if let Some(rule) = rest.strip_prefix("--incremental") {
-        let mut policy = market.base().policy();
-        if !policy.incremental {
-            policy.incremental = true;
-            if let Err(e) = market.set_policy(policy) {
-                return render_err(e);
-            }
-        }
-        let mut out = quote(market, rule.trim_start());
-        let s = market.base().plan_stats();
-        let _ = write!(
-            out,
-            "\nplan  : {} hit(s), {} miss(es), {} warm reprice(s), {} eviction(s)",
-            s.hits, s.misses, s.warm_reprices, s.evictions
-        );
         return out;
     }
     if !rest.starts_with("--batch") {

@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use qbdp::core::chain::graph::TupleEdgeMode;
-use qbdp::core::chain::price::FlowAlgo;
+use qbdp::core::chain::price::{chain_price, FlowAlgo};
 use qbdp::core::exact::certificates::{certificate_price, CertificateConfig};
-use qbdp::core::pricer::PricerConfig;
+use qbdp::core::normalize::Problem;
 use qbdp::prelude::*;
 
 const N: i64 = 3; // column size: {0, 1, 2}
@@ -78,7 +78,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Theorem 3.13: the flow price equals the exact certificate price, for
-    /// every tuple-edge mode and flow algorithm.
+    /// every tuple-edge mode and flow algorithm. The chain query needs no
+    /// normalization, so its problem goes to the Step 4 reduction as is.
     #[test]
     fn flow_price_is_exact(world in world_strategy()) {
         let (catalog, d, prices) = build(&world);
@@ -86,13 +87,10 @@ proptest! {
         let exact = certificate_price(&catalog, &d, &prices, &q, CertificateConfig::default())
             .unwrap()
             .price;
+        let problem = Problem::new(catalog.clone(), d.clone(), prices.clone(), q.clone());
         for mode in [TupleEdgeMode::Dense, TupleEdgeMode::Hub] {
             for algo in [FlowAlgo::Dinic, FlowAlgo::EdmondsKarp] {
-                let config = PricerConfig { tuple_mode: mode, flow_algo: algo, ..Default::default() };
-                let pricer = Pricer::new(catalog.clone(), d.clone(), prices.clone())
-                    .unwrap()
-                    .with_config(config);
-                prop_assert_eq!(pricer.price_cq(&q).unwrap().price, exact);
+                prop_assert_eq!(chain_price(&problem, mode, algo).unwrap().price, exact);
             }
         }
     }

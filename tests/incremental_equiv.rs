@@ -1,15 +1,17 @@
 //! Differential battery for the incremental pricing engine: a market
-//! serving through the plan cache + residual warm starts
-//! (`MarketPolicy::incremental`) must be *observationally identical* to
-//! a shadow market pricing every quote cold. Random catalogs of the
-//! chain shape × random update streams (`set_price` / `insert`
-//! interleaved with quotes) are replayed against both markets; every
-//! quote must match field for field — price, lower bound, receipt,
-//! views, method, class, and `QuoteQuality` — and every error must
-//! match variant for variant. A separate run exercises tight fuel
-//! budgets with `sell_degraded`, where the degraded `[lower, upper]`
-//! intervals must also coincide (the incremental path refuses budgeted
-//! policies and prices cold, and this is what holds it to that).
+//! with the default (unlimited) policy serves every quote through the
+//! plan cache + residual warm starts, and must be *observationally
+//! identical* to a reference market pricing every quote cold. The
+//! reference's far-off deadline makes its policy budgeted, which forces
+//! the cold engine; its plan-cache counters are asserted to stay zero.
+//! Random catalogs of the chain shape × random update streams
+//! (`set_price` / `insert` interleaved with quotes) are replayed against
+//! both markets; every quote must match field for field — price, lower
+//! bound, receipt, views, method, class, and `QuoteQuality` — and every
+//! error must match variant for variant. A separate run exercises tight
+//! fuel budgets with `sell_degraded`, where the degraded `[lower, upper]`
+//! intervals must also coincide (budgeted policies price cold, and this
+//! is what holds the market to that).
 //!
 //! The headline test is a seeded exhaustion loop with an explicit
 //! comparison counter: in release mode it must certify at least 10,000
@@ -18,6 +20,7 @@
 
 use proptest::prelude::*;
 use qbdp::prelude::*;
+use std::time::Duration;
 
 const N: i64 = 6; // column size: {0, …, 5}
 
@@ -81,20 +84,33 @@ const QUERIES: &[&str] = &[
     "Q() :- R(x), T(y)",
 ];
 
-/// Open the warm/cold market pair over identical state. Only the warm
-/// one serves through the plan cache.
+/// Open the warm/cold market pair over identical state. The warm one
+/// keeps the default policy and serves through the plan cache; the cold
+/// one has a deadline no quote here comes near, which routes every quote
+/// through the cold engine without degrading any.
 fn market_pair() -> (Market, Market) {
     let catalog = chain_catalog();
     let instance = catalog.empty_instance();
     let prices = base_prices(&catalog);
     let warm = Market::open(catalog.clone(), instance.clone(), prices.clone()).unwrap();
     let cold = Market::open(catalog, instance, prices).unwrap();
-    warm.set_policy(MarketPolicy {
-        incremental: true,
+    cold.set_policy(MarketPolicy {
+        deadline: Some(Duration::from_secs(3600)),
         ..MarketPolicy::default()
     })
     .unwrap();
     (warm, cold)
+}
+
+/// The reference market must never have priced through its plan cache.
+#[track_caller]
+fn assert_priced_cold(cold: &Market) {
+    let stats = cold.plan_stats();
+    assert_eq!(
+        stats.hits + stats.misses + stats.warm_reprices + stats.evictions,
+        0,
+        "the cold reference market used its plan cache: {stats:?}"
+    );
 }
 
 /// Every observable field of a quote must agree — bit-identical, not
@@ -202,6 +218,7 @@ fn run_stream(seed: u64, ops: usize) -> u64 {
         stats.hits + stats.misses + stats.warm_reprices > 0,
         "incremental path never engaged: {stats:?}"
     );
+    assert_priced_cold(&cold);
     comparisons
 }
 
@@ -222,10 +239,10 @@ fn warm_start_quotes_match_cold_start_over_random_update_streams() {
     }
 }
 
-/// Under a fuel budget with `sell_degraded`, the `incremental` flag
-/// must be inert: budgeted policies price cold on both markets, so the
-/// degraded `[lower_bound, price]` intervals and `QuoteQuality` tags
-/// must be identical — not merely both sound.
+/// Under a fuel budget with `sell_degraded`, both markets price cold
+/// (budgeted policies never reach the plan cache), so the degraded
+/// `[lower_bound, price]` intervals and `QuoteQuality` tags must be
+/// identical — not merely both sound.
 #[test]
 fn degraded_intervals_match_under_tight_budgets() {
     let mut rng = Rng(0xD1F_FEED);
@@ -261,7 +278,47 @@ fn degraded_intervals_match_under_tight_budgets() {
             0,
             "plan cache served under a fuel budget: {stats:?}"
         );
+        assert_priced_cold(&cold);
     }
+}
+
+/// The plan cache prices every unlimited-budget quote, batched or
+/// bought, not only serial quotes: after a revision, a batch warm-starts
+/// the chain join to the cold price, and buying a shape the batch
+/// already priced is a plan hit.
+#[test]
+fn batches_and_purchases_price_through_the_plan_cache() {
+    let (warm, cold) = market_pair();
+    for i in 0..N {
+        for market in [&warm, &cold] {
+            market.insert("R", [tuple![i]]).unwrap();
+            market.insert("S", [tuple![i, (i + 1) % N]]).unwrap();
+            market.insert("T", [tuple![(i + 1) % N]]).unwrap();
+        }
+    }
+    let chain = QUERIES[0];
+    warm.quote_batch(&[chain])[0].as_ref().unwrap();
+    for market in [&warm, &cold] {
+        market.set_price("R.X=1", Price::cents(275)).unwrap();
+    }
+    let before = warm.plan_stats();
+    let batch = warm.quote_batch(&[chain, "Q(y) :- T(y)"]);
+    assert_eq!(
+        warm.plan_stats().warm_reprices,
+        before.warm_reprices + 1,
+        "the batch did not warm-start the chain join"
+    );
+    assert_same_quote(
+        chain,
+        batch[0].as_ref().unwrap(),
+        &cold.quote_str(chain).unwrap(),
+    );
+
+    let hits = warm.plan_stats().hits;
+    let bought = warm.purchase_str(chain).unwrap();
+    assert_eq!(warm.plan_stats().hits, hits + 1, "the purchase priced cold");
+    assert_same_quote(chain, &bought.quote, &cold.quote_str(chain).unwrap());
+    assert_priced_cold(&cold);
 }
 
 proptest! {

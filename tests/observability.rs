@@ -7,7 +7,8 @@
 //! 2. after a workload, `stats` exports non-zero metrics in both the
 //!    Prometheus text format and JSON;
 //! 3. a forced degraded quote lands in the flight recorder and is
-//!    visible via `stats --flight`.
+//!    visible via `stats --flight`, whether it was quoted alone or in a
+//!    batch (the HTTP server's path).
 //!
 //! Telemetry state (the enabled flag, the registry, the flight ring) is
 //! process-global, so all three claims live in ONE test fn in its own
@@ -137,6 +138,41 @@ fn telemetry_acceptance_end_to_end() {
     );
     drop(dm);
     std::fs::remove_dir_all(&dir).ok();
+
+    // --- 5. every batch slot gets the outcome epilogue. -------------
+    let starved = Market::open_qdp(FIG1_QDP).unwrap();
+    starved
+        .set_policy(MarketPolicy {
+            telemetry: true,
+            fuel: Some(1),
+            sell_degraded: true,
+            ..MarketPolicy::default()
+        })
+        .unwrap();
+    let quotes = || {
+        qbdp_obs::global()
+            .counter(qbdp_obs::Ctr::MarketQuotes)
+            .get()
+    };
+    let pair = ["Q(x, y) :- R(x), S(x, y)", "Q(x, y) :- S(x, y), T(y)"];
+    let degraded_entries = |query: &str| {
+        qbdp_obs::flight::dump()
+            .iter()
+            .filter(|r| r.why == qbdp_obs::flight::Why::Degraded && r.query == query)
+            .count()
+    };
+    let before = quotes();
+    for slot in starved.quote_batch(&pair) {
+        assert!(!slot.unwrap().quality.is_exact(), "fuel 1 must degrade");
+    }
+    assert_eq!(quotes(), before + 2, "a batch of two counts two quotes");
+    for query in pair {
+        assert_eq!(degraded_entries(query), 1, "no flight entry for `{query}`");
+    }
+    let before = quotes();
+    assert!(!starved.quote_str(pair[0]).unwrap().quality.is_exact());
+    assert_eq!(quotes(), before + 1, "one quote_str counts one quote");
+    assert_eq!(degraded_entries(pair[0]), 2);
 
     // Leave the process-global flag the way the next binary expects it.
     hard.set_policy(MarketPolicy::default()).unwrap();

@@ -471,10 +471,6 @@ fn memory_and_durable_markets_agree_on_one_script() {
             fuel: Some(1),
             ..MarketPolicy::default()
         }),
-        Op::Policy(MarketPolicy {
-            incremental: true,
-            ..MarketPolicy::default()
-        }),
         Op::Policy(MarketPolicy::default()),
     ];
     // Every op twice, in one seeded order: `Q(x) :- V(x)` is bought at
