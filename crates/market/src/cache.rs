@@ -2,6 +2,11 @@
 //!
 //! Quoting is idempotent between data/price updates, and markets see the
 //! same queries repeatedly, so the common case should be a hash lookup.
+//! Keys are canonical renderings (`qbdp_query::pretty::render`); the
+//! market probes the raw request text first ([`ShardedQuoteCache::probe`])
+//! and parses only when that misses, and entries are shared
+//! (`Arc<MarketQuote>`), so a hit is one hash probe and a reference-count
+//! bump.
 //! The cache lives *outside* the market's state lock: lookups and inserts
 //! take only a per-shard `RwLock`, so a batch of workers filling the
 //! cache never serializes on the state lock, and two workers quoting
@@ -64,6 +69,7 @@ use qbdp_catalog::fxhash::FxHasher;
 use qbdp_catalog::{AttrRef, FxHashMap};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of independently locked shards. Must be a power of two (shard
 /// selection masks the key hash).
@@ -75,11 +81,13 @@ struct Entry {
     stamp: u64,
     /// The columns the quote's price is derived from.
     footprint: Vec<AttrRef>,
-    quote: MarketQuote,
+    /// Shared with every caller it is served to: a hit is a
+    /// reference-count bump, not a deep copy.
+    quote: Arc<MarketQuote>,
 }
 
 /// A fixed array of lock-sharded maps from rendered (canonical) query
-/// text to stamp-tagged quotes, validated against per-column epochs.
+/// text to stamp-tagged shared quotes, validated against per-column epochs.
 /// See the module docs for the protocol.
 pub(crate) struct ShardedQuoteCache {
     /// Bumped once per mutation; the purchase revalidation token.
@@ -132,7 +140,7 @@ impl ShardedQuoteCache {
     /// market's state read lock so the comparison is against the live
     /// snapshot.
     // audit: holds-lock(cache-shard)
-    pub(crate) fn get(&self, key: &str) -> Option<MarketQuote> {
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<MarketQuote>> {
         let hit = self.get_inner(key);
         // The registry is the single tally for cache effectiveness: a
         // stamp-invalidated entry counts as a miss (it must be repriced),
@@ -148,12 +156,23 @@ impl ShardedQuoteCache {
         hit
     }
 
+    /// Look up raw request text as if it were a canonical key, under the
+    /// same stamp check as [`ShardedQuoteCache::get`]. Only a hit is
+    /// tallied: on a miss the caller parses the text and runs the
+    /// canonical [`ShardedQuoteCache::get`], which counts the slot once.
     // audit: holds-lock(cache-shard)
-    fn get_inner(&self, key: &str) -> Option<MarketQuote> {
+    pub(crate) fn probe(&self, text: &str) -> Option<Arc<MarketQuote>> {
+        let hit = self.get_inner(text)?;
+        qbdp_obs::record(qbdp_obs::Ctr::MarketCacheHits, 1);
+        Some(hit)
+    }
+
+    // audit: holds-lock(cache-shard)
+    fn get_inner(&self, key: &str) -> Option<Arc<MarketQuote>> {
         let shard = self.shard(key).read();
         let entry = shard.get(key)?;
         if entry.stamp == self.stamp(&entry.footprint) {
-            Some(entry.quote.clone())
+            Some(Arc::clone(&entry.quote))
         } else {
             None
         }
@@ -166,7 +185,7 @@ impl ShardedQuoteCache {
     pub(crate) fn insert(
         &self,
         key: String,
-        quote: MarketQuote,
+        quote: Arc<MarketQuote>,
         footprint: Vec<AttrRef>,
         stamp: u64,
     ) {
@@ -242,8 +261,8 @@ mod tests {
     use qbdp_core::dichotomy::QueryClass;
     use qbdp_core::{Price, PricingMethod, QuoteQuality};
 
-    fn quote(price: Price) -> MarketQuote {
-        MarketQuote {
+    fn quote(price: Price) -> Arc<MarketQuote> {
+        Arc::new(MarketQuote {
             query: "Q() :- R(x)".into(),
             price,
             receipt: Vec::new(),
@@ -252,7 +271,7 @@ mod tests {
             class: QueryClass::GeneralizedChain,
             quality: QuoteQuality::Exact,
             lower_bound: price,
-        }
+        })
     }
 
     /// Two relations, two columns each: R.{0,1} and S.{0,1}.

@@ -51,6 +51,7 @@ use qbdp_query::parser::parse_rule;
 use qbdp_query::pretty;
 use qbdp_store::{MarketEvent, StoreError, Wal};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-market resource policy, applied to every pricing call.
@@ -223,7 +224,8 @@ pub struct Market {
     /// Whether mutations are accepted. Only a journal failure flips it.
     health: RwLock<MarketHealth>,
     state: RwLock<State>,
-    /// Quote cache keyed by the *rendered* query (canonical form). Lives
+    /// Quote cache keyed by the *rendered* query (canonical form); a
+    /// request spelled exactly as a key is served without parsing. Lives
     /// outside the state lock — lookups and fills take only a per-shard
     /// lock — and is kept coherent with the data via per-column epoch
     /// tagging (see [`crate::cache`]). Only `Exact`-quality quotes are
@@ -498,7 +500,7 @@ impl Market {
     /// which prices inline on this thread, under a trace of its own and
     /// timed into the quote-latency histogram. Exact quotes are cached
     /// until the next update touching their columns.
-    pub fn quote_str(&self, query: &str) -> Result<MarketQuote, MarketError> {
+    pub fn quote_str(&self, query: &str) -> Result<Arc<MarketQuote>, MarketError> {
         let sw = qbdp_obs::Stopwatch::start();
         if qbdp_obs::enabled() {
             qbdp_obs::trace::begin();
@@ -527,15 +529,19 @@ impl Market {
     /// market refuses every slot with [`MarketError::Overloaded`]. Each
     /// job gets the policy's per-quote fuel; the wall-clock deadline is
     /// shared across the batch. Exact quotes (cache hits and fresh ones)
-    /// are served from / fill the sharded cache. With telemetry on,
-    /// every slot is counted and a degraded, refused or panicked slot
-    /// lands in the flight recorder.
-    pub fn quote_batch(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
+    /// are served from / fill the sharded cache, and a cached quote is
+    /// shared, not copied: every caller served the same entry holds the
+    /// same [`Arc`]. A query sent back exactly as a quote's `query` field
+    /// (the canonical spelling) is answered without being parsed. With
+    /// telemetry on, every slot is counted and a degraded, refused or
+    /// panicked slot lands in the flight recorder.
+    pub fn quote_batch(&self, queries: &[&str]) -> Vec<Result<Arc<MarketQuote>, MarketError>> {
         let sw = qbdp_obs::Stopwatch::start();
         let out = self.quote_slots(queries);
         if let Some(us) = sw.elapsed_us() {
             for (query, slot) in queries.iter().zip(&out) {
-                observe_outcome(query, us, qbdp_obs::Ctr::MarketQuotes, slot.as_ref());
+                let outcome = slot.as_ref().map(|q| &**q);
+                observe_outcome(query, us, qbdp_obs::Ctr::MarketQuotes, outcome);
             }
         }
         out
@@ -543,7 +549,7 @@ impl Market {
 
     /// The uninstrumented body of [`Market::quote_batch`].
     // audit: holds-lock(state)
-    fn quote_slots(&self, queries: &[&str]) -> Vec<Result<MarketQuote, MarketError>> {
+    fn quote_slots(&self, queries: &[&str]) -> Vec<Result<Arc<MarketQuote>, MarketError>> {
         if queries.is_empty() {
             return Vec::new();
         }
@@ -556,50 +562,63 @@ impl Market {
                 .collect();
         }
         let schema = state.pricer.catalog().schema();
-        let mut slots: Vec<Option<Result<MarketQuote, MarketError>>> = Vec::new();
+        let mut slots: Vec<Option<Result<Arc<MarketQuote>, MarketError>>> = Vec::new();
         slots.resize_with(queries.len(), || None);
-        // Parse every query and serve what the cache already has. Each
-        // slot carries its *own* footprint stamp, computed at its own
-        // lookup under the state read lock: it names exactly the data
-        // snapshot the quote is derived from, and the cache discards the
-        // insert if an update touching one of the footprint's columns
-        // lands in between. One whole-batch stamp would be wrong at both
-        // granularities (different queries have different footprints,
-        // and a single load taken before the loop could tag a late slot
-        // with an epoch older than the lookup that missed for it).
+        // Serve what the cache already has. The request text is probed
+        // first: text byte-equal to a cached key is some `render(q)`, and
+        // `parse_rule(render(q)) == q`, so the entry prices exactly this
+        // query and is served without a parse. Other text is parsed and
+        // rendered to its canonical key; other spellings are never
+        // stored, so the cache holds one entry per query. Each missing
+        // slot carries its *own* footprint stamp,
+        // computed at its own lookup under the state read lock: it names
+        // exactly the data snapshot the quote is derived from, and the
+        // cache discards the insert if an update touching one of the
+        // footprint's columns lands in between. One whole-batch stamp
+        // would be wrong at both granularities (different queries have
+        // different footprints, and a single load taken before the loop
+        // could tag a late slot with an epoch older than the lookup that
+        // missed for it).
         let mut misses: Vec<(usize, String, ConjunctiveQuery, Vec<AttrRef>, u64)> = Vec::new();
         for (i, text) in queries.iter().enumerate() {
-            match parse_rule(schema, text) {
-                Ok(q) => {
-                    let key = pretty::render(&q, schema);
-                    let mut span = qbdp_obs::trace::span("cache_lookup");
-                    let hit = self.cache.get(&key);
-                    span.detail(if hit.is_some() { "hit" } else { "miss" });
-                    drop(span);
-                    match hit {
-                        Some(hit) => slots[i] = Some(Ok(hit)),
-                        None => {
-                            let footprint = query_footprint(state.pricer.catalog(), &q);
-                            let stamp = self.cache.stamp(&footprint);
-                            misses.push((i, key, q, footprint, stamp));
-                        }
-                    }
-                }
-                Err(e) => slots[i] = Some(Err(e.into())),
+            let text = text.trim();
+            let mut span = qbdp_obs::trace::span("cache_lookup");
+            if let Some(hit) = self.cache.probe(text) {
+                span.detail("hit");
+                slots[i] = Some(Ok(hit));
+                continue;
             }
+            let q = match parse_rule(schema, text) {
+                Ok(q) => q,
+                Err(e) => {
+                    slots[i] = Some(Err(e.into()));
+                    continue;
+                }
+            };
+            let key = pretty::render(&q, schema);
+            if let Some(hit) = self.cache.get(&key) {
+                span.detail("hit");
+                slots[i] = Some(Ok(hit));
+                continue;
+            }
+            span.detail("miss");
+            drop(span);
+            let footprint = query_footprint(state.pricer.catalog(), &q);
+            let stamp = self.cache.stamp(&footprint);
+            misses.push((i, key, q, footprint, stamp));
         }
         if !misses.is_empty() {
             let budget = state.policy.budget_for(misses.len() as u64);
             let workers = state.policy.batch_workers;
             let st: &State = &state;
             let priced = qbdp_core::batch::run_batch(&misses, &budget, workers, |miss, sub| {
-                let (_, _, q, _, _) = miss;
-                Self::finish_quote(st, q, self.price_query(st, q, sub)?)
+                let (_, key, q, _, _) = miss;
+                Self::finish_quote(st, key.clone(), self.price_query(st, q, sub)?).map(Arc::new)
             });
             for ((i, key, _, footprint, stamp), result) in misses.into_iter().zip(priced) {
                 if let Ok(mq) = &result {
                     if mq.quality.is_exact() {
-                        self.cache.insert(key, mq.clone(), footprint, stamp);
+                        self.cache.insert(key, Arc::clone(mq), footprint, stamp);
                     }
                 }
                 slots[i] = Some(result);
@@ -642,10 +661,11 @@ impl Market {
     }
 
     /// Apply market policy to a raw engine quote and dress it up for the
-    /// buyer (shared by quotes and purchases).
+    /// buyer (shared by quotes and purchases); `query` is the query's
+    /// canonical rendering.
     fn finish_quote(
         state: &State,
-        q: &ConjunctiveQuery,
+        query: String,
         quote: qbdp_core::Quote,
     ) -> Result<MarketQuote, MarketError> {
         if quote.price.is_infinite() {
@@ -661,7 +681,7 @@ impl Market {
             .map(|v| format!("{} @ {}", v.display(schema), state.pricer.prices().get(v)))
             .collect();
         Ok(MarketQuote {
-            query: pretty::render(q, schema),
+            query,
             price: quote.price,
             receipt,
             views: quote.views,
@@ -755,9 +775,10 @@ impl Market {
     fn evaluate_purchase(&self, query: &str) -> Result<(MarketQuote, Vec<Tuple>), MarketError> {
         let state = self.state.read();
         let _slot = self.admit(state.policy.max_in_flight)?;
-        let q = parse_rule(state.pricer.catalog().schema(), query)?;
+        let schema = state.pricer.catalog().schema();
+        let q = parse_rule(schema, query)?;
         let quote = self.price_query(&state, &q, &state.policy.budget())?;
-        let quote = Self::finish_quote(&state, &q, quote)?;
+        let quote = Self::finish_quote(&state, pretty::render(&q, schema), quote)?;
         // Evaluation runs the same buyer-controlled query the pricing
         // engine just priced; a panic here must not unwind through the
         // serving thread any more than a pricing panic may (the quote
@@ -1252,6 +1273,84 @@ price T.Y=b3 100
                 .price,
             Price::dollars(6)
         );
+    }
+
+    /// Regression: `pretty::render` once named relations by rewriting
+    /// every `R#<id>(` in the rendered text, text constants included, so
+    /// these two queries shared one cache key and one price.
+    #[test]
+    fn constants_spelled_like_relations_keep_their_own_price() {
+        let col = qbdp_catalog::Column::texts(["R#0(", "R("]);
+        let catalog = qbdp_catalog::CatalogBuilder::new()
+            .relation("R", &[("X", col)])
+            .build()
+            .unwrap();
+        let r = catalog.schema().rel_id("R").unwrap();
+        let mut instance = catalog.empty_instance();
+        instance
+            .insert_all(r, [tuple!["R#0("], tuple!["R("]])
+            .unwrap();
+        let mut prices = PriceList::new();
+        let x = AttrRef::new(r, 0);
+        prices.set(
+            SelectionView::new(x, Value::text("R#0(")),
+            Price::cents(100),
+        );
+        prices.set(SelectionView::new(x, Value::text("R(")), Price::cents(300));
+        let hash = ("Q(x) :- R(x), x = 'R#0('", Price::cents(100));
+        let paren = ("Q(x) :- R(x), x = 'R('", Price::cents(300));
+        for order in [[hash, paren], [paren, hash]] {
+            let market = Market::open(catalog.clone(), instance.clone(), prices.clone()).unwrap();
+            let quotes = order.map(|(q, _)| market.quote_str(q).unwrap());
+            for ((query, price), quote) in order.iter().zip(&quotes) {
+                assert_eq!(quote.price, *price, "{query}");
+            }
+            for ((query, _), quote) in order.iter().zip(&quotes) {
+                assert_eq!(quote.query, *query);
+            }
+        }
+    }
+
+    #[test]
+    fn text_probe_serves_canonical_text_and_stays_coherent() {
+        let market = Market::open_qdp(FIG1_QDP).unwrap();
+        let chain = "Q(x, y) :- R(x), S(x, y), T(y)";
+        let cold = |m: &Market, q: &str| {
+            let fresh = Market::open_qdp(&m.to_qdp()).unwrap();
+            fresh.quote_str(q).unwrap().price
+        };
+        let first = market.quote_str(chain).unwrap();
+        assert_eq!(first.query, chain, "the request is the canonical key");
+        // Canonical text, padded or not, is served the cached entry
+        // itself; so is a variant spacing, through the canonical lookup.
+        for spelling in [
+            chain,
+            "  Q(x, y) :- R(x), S(x, y), T(y)\n",
+            "Q(x,y):-R(x),S(x,y),T(y)",
+        ] {
+            let hit = market.quote_str(spelling).unwrap();
+            assert!(Arc::ptr_eq(&first, &hit), "`{spelling}` missed the cache");
+        }
+        // A renamed variable is another canonical key with the same price.
+        let renamed = market.quote_str("Q(a, y) :- R(a), S(a, y), T(y)").unwrap();
+        assert_eq!(renamed.price, first.price);
+        assert_eq!(renamed.query, "Q(a, y) :- R(a), S(a, y), T(y)");
+
+        // Updates touching the footprint re-price the canonical text;
+        // a query over disjoint columns stays a hit.
+        let over_r = market.quote_str("Q(x) :- R(x)").unwrap();
+        market.set_price("S.Y=b1", Price::cents(25)).unwrap();
+        let repriced = market.quote_str(chain).unwrap();
+        assert_eq!(repriced.price, Price::cents(525));
+        assert_eq!(repriced.price, cold(&market, chain));
+        market.insert("T", [tuple!["b2"]]).unwrap();
+        let grown = market.quote_str(chain).unwrap();
+        assert_ne!(grown.price, repriced.price, "served a stale price");
+        assert_eq!(grown.price, cold(&market, chain));
+        assert!(Arc::ptr_eq(
+            &over_r,
+            &market.quote_str("Q(x) :- R(x)").unwrap()
+        ));
     }
 
     /// Regression: the in-memory purchase once saturated revenue at

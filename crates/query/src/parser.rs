@@ -7,7 +7,8 @@
 //! ```
 //!
 //! * bare identifiers are **variables**;
-//! * constants are integers (`42`) or quoted strings (`'WA'`);
+//! * constants are integers (`42`) or quoted strings (`'WA'`, with no
+//!   `'` inside);
 //! * interpreted unary predicates: `x OP literal` with
 //!   `OP ∈ {=, !=, <, <=, >, >=}`, or `x in {l1, l2, ...}`;
 //! * a constant *inside an atom* (`S(x, 'WA')`) is allowed and equivalent to
@@ -38,7 +39,7 @@ pub fn parse_rule(schema: &Schema, text: &str) -> Result<ConjunctiveQuery, Query
     };
 
     let mut atoms: Vec<Atom> = Vec::new();
-    let mut preds: Vec<PredAtom> = Vec::new();
+    let mut pred_items: Vec<&str> = Vec::new();
 
     for item in split_top_level(body_src) {
         let item = item.trim();
@@ -56,9 +57,16 @@ pub fn parse_rule(schema: &Schema, text: &str) -> Result<ConjunctiveQuery, Query
             }
             atoms.push(Atom { rel, terms });
         } else {
-            // An interpreted predicate.
-            preds.push(parse_pred(item, &mut var_names, &mut intern)?);
+            pred_items.push(item);
         }
+    }
+    // Interpreted predicates are parsed after every atom, so variables
+    // are numbered by first occurrence in the atoms wherever the
+    // predicates stand: the rendering (atoms first) re-parses to the
+    // identical query.
+    let mut preds: Vec<PredAtom> = Vec::with_capacity(pred_items.len());
+    for item in pred_items {
+        preds.push(parse_pred(item, &mut var_names, &mut intern)?);
     }
 
     // Head arguments must be variables.
@@ -106,7 +114,7 @@ fn parse_term(
     if is_identifier(src) {
         return Ok(Term::Var(intern(src, var_names)));
     }
-    Value::parse_literal(src)
+    literal(src)
         .map(Term::Const)
         .ok_or_else(|| QueryError::Parse {
             message: format!("bad term `{src}`"),
@@ -131,7 +139,7 @@ fn parse_pred(
         }
         let vals: Option<Vec<Value>> = rhs[1..rhs.len() - 1]
             .split(',')
-            .map(|s| Value::parse_literal(s.trim()))
+            .map(|s| literal(s.trim()))
             .collect();
         let vals = vals.ok_or_else(|| err(format!("bad value in set: `{rhs}`")))?;
         return Ok(PredAtom {
@@ -147,8 +155,8 @@ fn parse_pred(
             if !is_identifier(lhs) {
                 return Err(err(format!("predicate lhs must be a variable: `{src}`")));
             }
-            let value = Value::parse_literal(rhs)
-                .ok_or_else(|| err(format!("bad literal `{rhs}` in `{src}`")))?;
+            let value =
+                literal(rhs).ok_or_else(|| err(format!("bad literal `{rhs}` in `{src}`")))?;
             let pred = build(value).map_err(|m| err(format!("{m} in `{src}`")))?;
             return Ok(PredAtom {
                 var: intern(lhs, var_names),
@@ -157,6 +165,13 @@ fn parse_pred(
         }
     }
     Err(err(format!("cannot parse body item `{src}`")))
+}
+
+/// A constant in query syntax ([`Value::parse_literal`]). Quotes are
+/// not escaped, so a text constant may not contain `'`: it could not be
+/// written back unambiguously, since the body splitter pairs quotes.
+fn literal(src: &str) -> Option<Value> {
+    Value::parse_literal(src).filter(|v| !v.as_text().is_some_and(|t| t.contains('\'')))
 }
 
 type PredBuilder = fn(Value) -> Result<Pred, String>;
@@ -276,6 +291,11 @@ mod tests {
         let q = parse_rule(c.schema(), "Q(x) :- R(x), x >= 2, x < 9, x = 4").unwrap();
         assert_eq!(q.preds().len(), 3);
         assert_eq!(q.preds()[2].pred, Pred::Eq(Value::Int(4)));
+        // Variables are numbered by the atoms, wherever predicates stand.
+        assert_eq!(
+            parse_rule(c.schema(), "Q(x) :- y > 3, S(x, y)").unwrap(),
+            parse_rule(c.schema(), "Q(x) :- S(x, y), y > 3").unwrap()
+        );
     }
 
     #[test]
@@ -304,6 +324,7 @@ mod tests {
         assert!(parse_rule(c.schema(), "Q(z) :- R(x)").is_err()); // unsafe
         assert!(parse_rule(c.schema(), "Q(x) :- R(x), y ?? 3").is_err());
         assert!(parse_rule(c.schema(), "Q(x) :- S(x)").is_err()); // arity
+        assert!(parse_rule(c.schema(), "Q(x) :- R(x), x = 'it's'").is_err()); // unwritable
     }
 
     #[test]

@@ -2,64 +2,79 @@
 
 use crate::ast::{ConjunctiveQuery, Pred, Term, Ucq};
 use crate::bundle::Bundle;
+use qbdp_catalog::Schema;
 use std::fmt;
 
 impl fmt::Display for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.name())?;
-        for (i, v) in self.head().iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", self.var_name(*v))?;
-        }
-        write!(f, ") :- ")?;
-        let mut first = true;
-        for atom in self.atoms() {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{}", render_rel(self, atom.rel))?;
-            write!(f, "(")?;
-            for (i, t) in atom.terms.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                match t {
-                    Term::Var(v) => write!(f, "{}", self.var_name(*v))?,
-                    Term::Const(c) => write!(f, "{c:?}")?,
-                }
-            }
-            write!(f, ")")?;
-        }
-        for p in self.preds() {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            let v = self.var_name(p.var);
-            match &p.pred {
-                Pred::Eq(c) => write!(f, "{v} = {c:?}")?,
-                Pred::Ne(c) => write!(f, "{v} != {c:?}")?,
-                Pred::Lt(c) => write!(f, "{v} < {c}")?,
-                Pred::Le(c) => write!(f, "{v} <= {c}")?,
-                Pred::Gt(c) => write!(f, "{v} > {c}")?,
-                Pred::Ge(c) => write!(f, "{v} >= {c}")?,
-                Pred::InSet(cs) => {
-                    write!(f, "{v} in {{")?;
-                    for (i, c) in cs.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{c:?}")?;
-                    }
-                    write!(f, "}}")?;
-                }
-            }
-        }
-        Ok(())
+        write_cq(f, self, None)
     }
+}
+
+/// Write a CQ in datalog syntax. Relation names come from `schema`; a
+/// query rendered without one (its `Display`) names relations `R#<id>`,
+/// since a query holds relation ids, not names.
+fn write_cq(
+    out: &mut impl fmt::Write,
+    q: &ConjunctiveQuery,
+    schema: Option<&Schema>,
+) -> fmt::Result {
+    write!(out, "{}(", q.name())?;
+    for (i, v) in q.head().iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        out.write_str(q.var_name(*v))?;
+    }
+    out.write_str(") :- ")?;
+    let mut first = true;
+    for atom in q.atoms() {
+        if !first {
+            out.write_str(", ")?;
+        }
+        first = false;
+        match schema {
+            Some(s) => out.write_str(s.relation(atom.rel).name())?,
+            None => write!(out, "R#{}", atom.rel.0)?,
+        }
+        out.write_char('(')?;
+        for (i, t) in atom.terms.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            match t {
+                Term::Var(v) => out.write_str(q.var_name(*v))?,
+                Term::Const(c) => write!(out, "{c:?}")?,
+            }
+        }
+        out.write_char(')')?;
+    }
+    for p in q.preds() {
+        if !first {
+            out.write_str(", ")?;
+        }
+        first = false;
+        let v = q.var_name(p.var);
+        match &p.pred {
+            Pred::Eq(c) => write!(out, "{v} = {c:?}")?,
+            Pred::Ne(c) => write!(out, "{v} != {c:?}")?,
+            Pred::Lt(c) => write!(out, "{v} < {c}")?,
+            Pred::Le(c) => write!(out, "{v} <= {c}")?,
+            Pred::Gt(c) => write!(out, "{v} > {c}")?,
+            Pred::Ge(c) => write!(out, "{v} >= {c}")?,
+            Pred::InSet(cs) => {
+                write!(out, "{v} in {{")?;
+                for (i, c) in cs.iter().enumerate() {
+                    if i > 0 {
+                        out.write_str(", ")?;
+                    }
+                    write!(out, "{c:?}")?;
+                }
+                out.write_char('}')?;
+            }
+        }
+    }
+    Ok(())
 }
 
 impl fmt::Debug for ConjunctiveQuery {
@@ -105,26 +120,13 @@ impl fmt::Debug for Bundle {
     }
 }
 
-/// Relation ids do not carry names; rendering needs the schema, which the
-/// query does not hold. We render `R#<id>` as a fallback. [`render`] accepts
-/// a schema for fully-named output.
-fn render_rel(_q: &ConjunctiveQuery, rel: qbdp_catalog::RelId) -> String {
-    format!("R#{}", rel.0)
-}
-
-/// Render a CQ with relation names resolved against a schema; the output
-/// re-parses to an equivalent query.
-pub fn render(q: &ConjunctiveQuery, schema: &qbdp_catalog::Schema) -> String {
-    let base = q.to_string();
-    // Replace each `R#<id>` with the relation name. Ids are unambiguous
-    // because `#` never appears in identifiers.
-    let mut out = base;
-    // Replace longer ids first so `R#10(` is not corrupted by `R#1(`.
-    let mut rels: Vec<_> = schema.iter().collect();
-    rels.sort_by_key(|(rid, _)| std::cmp::Reverse(rid.0));
-    for (rid, rel) in rels {
-        out = out.replace(&format!("R#{}(", rid.0), &format!("{}(", rel.name()));
-    }
+/// Render a CQ with relation names resolved against a schema: the
+/// canonical spelling the quote cache keys by. The output re-parses to
+/// the same query (`parse_rule(schema, &render(q, schema)) == q`).
+pub fn render(q: &ConjunctiveQuery, schema: &Schema) -> String {
+    let mut out = String::with_capacity(64);
+    // Writing into a `String` cannot fail.
+    let _ = write_cq(&mut out, q, Some(schema));
     out
 }
 
@@ -161,6 +163,27 @@ mod tests {
         assert!(rendered.contains("'a1'"));
         let q2 = parse_rule(cat.schema(), &rendered).unwrap();
         assert_eq!(q, q2);
+    }
+
+    /// Relation names are written from the schema, never substituted
+    /// into the rendered text, so constants spelled like `R#<id>(` stay
+    /// as they are and distinct queries keep distinct renderings.
+    #[test]
+    fn constants_spelled_like_relation_ids_survive() {
+        let col = Column::texts(["R#0(", "R(", "R#1("]);
+        let cat = CatalogBuilder::new()
+            .relation("R", &[("X", col.clone())])
+            .relation("RR", &[("X", col)])
+            .build()
+            .unwrap();
+        for src in [
+            "Q(x) :- R(x), x = 'R#0('",
+            "Q(x) :- R(x), x = 'R('",
+            "Q(x) :- RR(x), x in {'R#1(', 'R#0('}",
+        ] {
+            let q = parse_rule(cat.schema(), src).unwrap();
+            assert_eq!(render(&q, cat.schema()), src);
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! [`qbdp_core::QuoteQuality::UpperBound`] so a buyer can see exactly
 //! how loose a budget-limited price is.
 
-use qbdp_core::{Price, QuoteQuality};
+use qbdp_core::dichotomy::QueryClass;
+use qbdp_core::{Price, PricingMethod, QuoteQuality};
 use qbdp_market::{MarketError, MarketHealth, MarketQuote, Purchase};
+use std::fmt::{self, Write as _};
 
 /// Append `s` as a JSON string literal (with escaping).
 pub fn push_str_lit(out: &mut String, s: &str) {
@@ -24,12 +26,22 @@ pub fn push_str_lit(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
     out.push('"');
+}
+
+/// Append a price's cents, `null` when it is the ∞ sentinel.
+fn push_cents(out: &mut String, p: Price) {
+    if p.is_finite() {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{}", p.as_cents());
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// Append a price as `"name_cents":N,"name":"$N.NN"` (cents `null`
@@ -38,15 +50,51 @@ fn push_price(out: &mut String, name: &str, p: Price) {
     out.push('"');
     out.push_str(name);
     out.push_str("_cents\":");
-    if p.is_finite() {
-        out.push_str(&p.as_cents().to_string());
-    } else {
-        out.push_str("null");
-    }
+    push_cents(out, p);
     out.push_str(",\"");
     out.push_str(name);
-    out.push_str("\":");
-    push_str_lit(out, &p.to_string());
+    out.push_str("\":\"");
+    // The display form (`$N.NN` or `∞`) needs no escaping.
+    let _ = write!(out, "{p}");
+    out.push('"');
+}
+
+/// Append an engine or class name as a string literal: its `Debug`
+/// spelling, a static name for the plain variants and formatted in place
+/// for the composite ones (whose `Debug` text needs no escaping).
+fn push_name(out: &mut String, name: Option<&'static str>, value: &impl fmt::Debug) {
+    out.push('"');
+    match name {
+        Some(n) => out.push_str(n),
+        None => {
+            let _ = write!(out, "{value:?}");
+        }
+    }
+    out.push('"');
+}
+
+fn method_name(m: &PricingMethod) -> Option<&'static str> {
+    Some(match m {
+        PricingMethod::ChainFlow => "ChainFlow",
+        PricingMethod::ChainBundleFlow => "ChainBundleFlow",
+        PricingMethod::CycleCertificates => "CycleCertificates",
+        PricingMethod::BooleanWitness => "BooleanWitness",
+        PricingMethod::ExactCertificates => "ExactCertificates",
+        PricingMethod::ExactSubset => "ExactSubset",
+        PricingMethod::StructuralCover => "StructuralCover",
+        PricingMethod::Trivial => "Trivial",
+        PricingMethod::Disconnected(_) | PricingMethod::BooleanEmpty(_) => return None,
+    })
+}
+
+fn class_name(c: &QueryClass) -> Option<&'static str> {
+    Some(match c {
+        QueryClass::GeneralizedChain => "GeneralizedChain",
+        QueryClass::OutsideDichotomy => "OutsideDichotomy",
+        QueryClass::Cycle(_) | QueryClass::Disconnected(_) | QueryClass::NpComplete(_) => {
+            return None
+        }
+    })
 }
 
 /// Encode one quote.
@@ -61,24 +109,16 @@ pub fn quote(q: &MarketQuote) -> String {
         QuoteQuality::Exact => out.push_str("\"exact\""),
         QuoteQuality::UpperBound => {
             out.push_str("\"upper_bound\",\"interval_cents\":[");
-            if q.lower_bound.is_finite() {
-                out.push_str(&q.lower_bound.as_cents().to_string());
-            } else {
-                out.push_str("null");
-            }
+            push_cents(&mut out, q.lower_bound);
             out.push(',');
-            if q.price.is_finite() {
-                out.push_str(&q.price.as_cents().to_string());
-            } else {
-                out.push_str("null");
-            }
+            push_cents(&mut out, q.price);
             out.push(']');
         }
     }
     out.push_str(",\"method\":");
-    push_str_lit(&mut out, &format!("{:?}", q.method));
+    push_name(&mut out, method_name(&q.method), &q.method);
     out.push_str(",\"class\":");
-    push_str_lit(&mut out, &format!("{:?}", q.class));
+    push_name(&mut out, class_name(&q.class), &q.class);
     out.push_str(",\"receipt\":[");
     // audit: bounded(one pass over the quote's receipt lines)
     for (i, line) in q.receipt.iter().enumerate() {
@@ -179,6 +219,7 @@ pub fn status(e: &MarketError) -> (u16, &'static str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qbdp_core::dichotomy::NpReason;
 
     #[test]
     fn string_escaping() {
@@ -191,6 +232,70 @@ mod tests {
     fn overloaded_maps_to_429() {
         assert_eq!(status(&MarketError::Overloaded).0, 429);
         assert_eq!(kind(&MarketError::Overloaded), "overloaded");
+    }
+
+    fn market_quote(
+        price: Price,
+        lower_bound: Price,
+        quality: QuoteQuality,
+        method: PricingMethod,
+        class: QueryClass,
+    ) -> MarketQuote {
+        MarketQuote {
+            query: "Q(x) :- R(x), x = 'say \"hi\"'".into(),
+            price,
+            receipt: vec!["σ[R.X=a1] @ $1.00".into(), "σ[R.X=a2] @ $10.05".into()],
+            views: Vec::new(),
+            method,
+            class,
+            quality,
+            lower_bound,
+        }
+    }
+
+    /// The wire format is a contract with buyers: these bodies are
+    /// pinned byte for byte.
+    #[test]
+    fn quote_bodies_are_pinned() {
+        let exact = market_quote(
+            Price::cents(1105),
+            Price::cents(1105),
+            QuoteQuality::Exact,
+            PricingMethod::ChainFlow,
+            QueryClass::GeneralizedChain,
+        );
+        assert_eq!(
+            quote(&exact),
+            r#"{"query":"Q(x) :- R(x), x = 'say \"hi\"'","price_cents":1105,"price":"$11.05","quality":"exact","method":"ChainFlow","class":"GeneralizedChain","receipt":["σ[R.X=a1] @ $1.00","σ[R.X=a2] @ $10.05"]}"#
+        );
+        let upper = market_quote(
+            Price::cents(70),
+            Price::cents(7),
+            QuoteQuality::UpperBound,
+            PricingMethod::Disconnected(vec![
+                PricingMethod::StructuralCover,
+                PricingMethod::BooleanEmpty(Box::new(PricingMethod::Trivial)),
+            ]),
+            QueryClass::Disconnected(vec![
+                QueryClass::NpComplete(NpReason::NotFullNotBoolean),
+                QueryClass::Cycle(3),
+            ]),
+        );
+        assert_eq!(
+            quote(&upper),
+            r#"{"query":"Q(x) :- R(x), x = 'say \"hi\"'","price_cents":70,"price":"$0.70","quality":"upper_bound","interval_cents":[7,70],"method":"Disconnected([StructuralCover, BooleanEmpty(Trivial)])","class":"Disconnected([NpComplete(NotFullNotBoolean), Cycle(3)])","receipt":["σ[R.X=a1] @ $1.00","σ[R.X=a2] @ $10.05"]}"#
+        );
+        let unbounded = market_quote(
+            Price::INFINITE,
+            Price::INFINITE,
+            QuoteQuality::UpperBound,
+            PricingMethod::StructuralCover,
+            QueryClass::OutsideDichotomy,
+        );
+        assert_eq!(
+            quote(&unbounded),
+            r#"{"query":"Q(x) :- R(x), x = 'say \"hi\"'","price_cents":null,"price":"∞","quality":"upper_bound","interval_cents":[null,null],"method":"StructuralCover","class":"OutsideDichotomy","receipt":["σ[R.X=a1] @ $1.00","σ[R.X=a2] @ $10.05"]}"#
+        );
     }
 
     #[test]

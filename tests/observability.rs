@@ -8,7 +8,9 @@
 //!    Prometheus text format and JSON;
 //! 3. a forced degraded quote lands in the flight recorder and is
 //!    visible via `stats --flight`, whether it was quoted alone or in a
-//!    batch (the HTTP server's path).
+//!    batch (the HTTP server's path);
+//! 4. the quote cache's text probe tallies each slot once and keeps
+//!    its `cache_lookup` span.
 //!
 //! Telemetry state (the enabled flag, the registry, the flight ring) is
 //! process-global, so all three claims live in ONE test fn in its own
@@ -173,6 +175,53 @@ fn telemetry_acceptance_end_to_end() {
     assert!(!starved.quote_str(pair[0]).unwrap().quality.is_exact());
     assert_eq!(quotes(), before + 1, "one quote_str counts one quote");
     assert_eq!(degraded_entries(pair[0]), 2);
+
+    // --- 6. the text probe counts each slot once and is traced. -----
+    // A request spelled as a cached canonical key is served before any
+    // parse; every other spelling misses that probe uncounted and is
+    // counted once by the canonical lookup after it.
+    let probed = Market::open_qdp(FIG1_QDP).unwrap();
+    probed
+        .set_policy(MarketPolicy {
+            telemetry: true,
+            ..MarketPolicy::default()
+        })
+        .unwrap();
+    let lookups = || {
+        let r = qbdp_obs::global();
+        (
+            r.counter(qbdp_obs::Ctr::MarketCacheHits).get(),
+            r.counter(qbdp_obs::Ctr::MarketCacheMisses).get(),
+        )
+    };
+    let batch = [
+        "Q(x) :- R(x)",             // cold: canonical miss
+        "Q(y) :- T(y)",             // cold: canonical miss
+        "Q(x) :- R(x)",             // text-probe hit
+        "Q(x)  :-  R(x)",           // text-probe miss, canonical hit
+        "  Q(y) :- T(y)\n",         // trimmed, then a text-probe hit
+        "Q(x, y) :- S(x, y), T(y)", // cold: canonical miss
+    ];
+    let (hits, misses) = lookups();
+    let first = probed.quote_batch(&batch[..2]);
+    let out = probed.quote_batch(&batch[2..]);
+    assert!(first.iter().chain(&out).all(Result::is_ok));
+    let (hits_after, misses_after) = lookups();
+    assert_eq!(
+        (hits_after - hits, misses_after - misses),
+        (3, 3),
+        "one tally per slot: three hits, three misses"
+    );
+    qbdp_obs::trace::begin();
+    let hit = probed.quote_batch(&["Q(x) :- R(x)"]);
+    let spans = qbdp_obs::trace::finish();
+    assert!(hit[0].is_ok());
+    assert!(
+        spans
+            .iter()
+            .any(|s| s.name == "cache_lookup" && s.detail == "hit"),
+        "a text-probe hit lost its cache_lookup span: {spans:?}"
+    );
 
     // Leave the process-global flag the way the next binary expects it.
     hard.set_policy(MarketPolicy::default()).unwrap();

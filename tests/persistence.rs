@@ -46,7 +46,7 @@ fn roundtrip(tag: &str, market: Market, probes: &[&str], buy: &str) {
     let dm = DurableMarket::create(&dir, &market.to_qdp(), FsyncPolicy::EveryN(2)).unwrap();
     dm.purchase_str(buy).unwrap();
     dm.purchase_str(probes[0]).unwrap();
-    let live: Vec<MarketQuote> = probes
+    let live: Vec<std::sync::Arc<MarketQuote>> = probes
         .iter()
         .map(|p| dm.market().quote_str(p).unwrap())
         .collect();
